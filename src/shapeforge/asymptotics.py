@@ -6,14 +6,19 @@ governed by the smallest positive root zeta of
     p(z) = z^(2 lam + 2) - 4 z^(lam + 3) - 2 z^(lam + 1) + 1.
 
 For odd lam the polynomial is even and the roots come in a pair +-zeta.
-Root isolation scans exact rational signs, so no floating-point
-cancellation can misplace the first sign change; floats appear only in the
-final witnesses and in the deflated cofactor values.
+p has two sign changes, p(0) = 1 and p(1) = -4, so by Descartes' rule its
+root in (0, 1) is unique, and it is irrational.  Root isolation therefore
+reads every sign from an exact integer: a binary search on the 1/1000 grid
+and a bisection to width 1e-12 give a bracket proven to hold the root.
+Floats appear only in the witness zeta and in the quantities derived from
+it; the deflated cofactor at zeta is the closed form -zeta p'(zeta), halved
+for odd lam.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -60,35 +65,40 @@ class DominantSingularity:
     cofactor_at_zeta: float | None = None
 
 
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Exact sign of the polynomial at a rational x = a/b, b > 0.
+
+    b^deg * p(a/b) = sum c_i a^i b^(deg - i) is an integer of the same sign.
+    """
+    a, b = x.numerator, x.denominator
+    deg = len(coeffs) - 1
+    value = sum(c * a ** i * b ** (deg - i) for i, c in enumerate(coeffs) if c)
+    return (value > 0) - (value < 0)
+
+
 def find_zeta(lam: int, scan_steps: int = 1000,
               width: Fraction = Fraction(1, 10 ** 12)) -> DominantSingularity:
-    """Isolate the smallest positive root of p(z) on (0, 1).
+    """Isolate the unique root of p(z) on (0, 1).
 
-    Scans p at k / scan_steps with exact rationals until the first sign
-    change (p(0) = 1 > 0), certifying no earlier root at the grid
-    resolution, then bisects the bracket down to ``width``.
+    By Descartes' rule p has exactly one root in (0, 1), so p(k/scan_steps)
+    is positive exactly when k/scan_steps lies below it, and a binary search
+    finds the grid cell holding the root.  Bisection then halves that cell
+    until it is no wider than ``width``.  Every sign is read from an exact
+    integer; ``zeta`` is the float midpoint of the final bracket.
     """
     if not 1 <= lam <= 32:
         raise ValueError(f"lam must be in 1..32, got {lam}")
     coeffs = singular_polynomial(lam)
-    low = Fraction(0)
-    high = None
-    for k in range(1, scan_steps + 1):
-        x = Fraction(k, scan_steps)
-        value = _eval_poly(coeffs, x)
-        if value < 0:
-            high = x
-            break
-        if value == 0:
-            # p has no rational roots (only +-1 are candidates), so a grid
-            # hit would mean a broken polynomial
-            raise NoRootFound(f"unexpected exact zero at {x}")
-        low = x
-    if high is None:
+    if not _sign_at(coeffs, Fraction(0)) > 0 > _sign_at(coeffs, Fraction(1)):
         raise NoRootFound(f"no sign change of p on (0, 1) for lam = {lam}")
+    # the root is irrational, so p(k/scan_steps) < 0 exactly when k/scan_steps
+    # lies above it; the first such k ends the grid cell holding the root
+    k = bisect_left(range(scan_steps + 1), True,
+                    key=lambda k: _sign_at(coeffs, Fraction(k, scan_steps)) < 0)
+    low, high = Fraction(k - 1, scan_steps), Fraction(k, scan_steps)
     while high - low > width:
         mid = (low + high) / 2
-        if _eval_poly(coeffs, mid) > 0:
+        if _sign_at(coeffs, mid) > 0:
             low = mid
         else:
             high = mid
@@ -102,40 +112,28 @@ def find_zeta(lam: int, scan_steps: int = 1000,
     )
 
 
-def deflate(lam: int, sing: DominantSingularity,
-            tol: float = 1e-8) -> DominantSingularity:
-    """Divide out the dominant root factor(s) and store the cofactor value.
+def deflate(lam: int, sing: DominantSingularity) -> DominantSingularity:
+    """Store the value at zeta of p's cofactor after dividing out its root(s).
 
-    Synthetic division in floats by (1 - z/zeta), and additionally by
-    (1 + z/zeta) for odd lam; the remainders must stay below ``tol`` or the
-    root witness is considered inaccurate.
+    For even lam p(z) = Q(z) (1 - z/zeta), so Q(zeta) = -zeta p'(zeta); for
+    odd lam p(z) = R(z) (1 - z/zeta)(1 + z/zeta), so R(zeta) =
+    -zeta p'(zeta) / 2.  The witness is checked first: its bracket must show
+    an exact sign change of p inside [0, 1], which proves it holds the
+    unique root there, and it must hold the float zeta.
     """
-    coeffs = [float(c) for c in singular_polynomial(lam)]
-    zeta = sing.zeta
-    quotient, rem = _synthetic_div(coeffs, zeta)
-    if abs(rem) > tol:
-        raise LargeRemainder(f"division remainder {rem!r} exceeds {tol}")
-    if sing.parity == "even":
-        # p = Q(z) (1 - z/zeta) = (-Q(z)/zeta)(z - zeta)
-        cofactor = [-zeta * c for c in quotient]
-    else:
-        quotient, rem2 = _synthetic_div(quotient, -zeta)
-        if abs(rem2) > tol:
-            raise LargeRemainder(f"division remainder {rem2!r} exceeds {tol}")
-        # p = R(z) (1 - z/zeta)(1 + z/zeta) = (-R(z)/zeta^2)(z - zeta)(z + zeta)
-        cofactor = [-zeta * zeta * c for c in quotient]
-    value = _eval_poly(cofactor, zeta)
+    coeffs = singular_polynomial(lam)
+    if not (0 <= sing.low < sing.high <= 1
+            and _sign_at(coeffs, sing.low) > 0 > _sign_at(coeffs, sing.high)):
+        raise LargeRemainder(
+            f"bracket [{sing.low}, {sing.high}] shows no sign change of p in [0, 1]")
+    if not sing.low <= Fraction(sing.zeta) <= sing.high:
+        raise LargeRemainder(
+            f"zeta = {sing.zeta!r} lies outside its bracket [{sing.low}, {sing.high}]")
+    z = sing.zeta
+    value = -z * sum(k * c * z ** (k - 1) for k, c in enumerate(coeffs) if k and c)
+    if sing.parity == "odd":
+        value /= 2
     return replace(sing, cofactor_at_zeta=value)
-
-
-def _synthetic_div(ascending, root):
-    """Divide by (z - root); returns (ascending quotient, remainder)."""
-    coeffs = list(reversed(ascending))
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + out[-1] * root)
-    rem = out.pop()
-    return list(reversed(out)), rem
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Output is byte-deterministic for identical inputs: fixed field order, CSV
 headers always emitted, floats printed with 12 significant digits, and JSON
 documents carry a top-level schema tag "shapeforge/1".  Domain errors exit
 with status 1 and a one-line diagnostic naming the violated invariant;
-usage errors exit with status 2.
+usage errors exit with status 2.  Integers print in full at any length.
 
 The environment variable SHAPEFORGE_MAX_N raises the enumeration and
 expansion guards.  This is unsafe: the guards exist to keep memory and
@@ -413,6 +413,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact counts may run past CPython's int-to-str digit limit; lift it
+    # for the command only, since tests and tools call main() in-process
+    max_digits = getattr(sys, "get_int_max_str_digits", None)
+    saved = max_digits() if max_digits else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -421,6 +427,9 @@ def main(argv=None) -> int:
     except (ShapeforgeError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def entry() -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import threading
 
+from .errors import DivisibilityFailure
+
 
 class ExactCounts:
     """Memoized counting functions behind an explicit per-instance cache.
@@ -119,7 +121,8 @@ class ExactCounts:
         def compute():
             prod = (r0 + 1) * math.comb(n + 1, u) * self.fib_poly_coeff(n - r0 - 1, u - 1)
             q, rem = divmod(prod, n + 1)
-            assert rem == 0, f"level0_count({r0},{n},{u}): non-integral value"
+            if rem:
+                raise DivisibilityFailure(f"level0_count({r0},{n},{u}): non-integral value")
             return q
 
         return self._memo(("lvl0", r0, n, u), compute)

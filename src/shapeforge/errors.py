@@ -45,6 +45,10 @@ class DivisibilityFailure(ShapeforgeError):
     """An exact division left a nonzero remainder."""
 
 
+class SelfCheckFailure(ShapeforgeError):
+    """A result failed its exact self-check."""
+
+
 class UnknownIdentity(ShapeforgeError):
     """Requested identity name is not recognised."""
 
@@ -54,7 +58,9 @@ class NoRootFound(ShapeforgeError):
 
 
 class LargeRemainder(ShapeforgeError):
-    """Polynomial deflation left a remainder above tolerance."""
+    """A root witness fails its exact check, so deflating p at it would
+    leave a remainder: its bracket shows no sign change of p, the float
+    root lies outside the bracket, or the cofactor at it is not positive."""
 
 
 class UnsupportedTarget(ShapeforgeError):

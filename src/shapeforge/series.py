@@ -16,6 +16,7 @@ from .errors import (
     DivisibilityFailure,
     NonUnitConstantTerm,
     ResourceGuardExceeded,
+    SelfCheckFailure,
     UnknownIdentity,
 )
 from .poly import Poly
@@ -137,7 +138,7 @@ class TruncatedSeries:
         """Square root by Newton iteration with doubling precision.
 
         Requires constant term 1; the result is squared back and compared
-        exactly as a self-check.
+        exactly as a self-check, raising SelfCheckFailure on a mismatch.
         """
         if self.coeffs[0] != self.one:
             raise NonUnitConstantTerm("series sqrt needs constant term 1")
@@ -148,7 +149,8 @@ class TruncatedSeries:
             a = self.with_order(m)
             ym = y.with_order(m)
             y = (ym + a * ym.inverse()) * Fraction(1, 2)
-        assert y * y == self, "sqrt self-check failed"
+        if y * y != self:
+            raise SelfCheckFailure("sqrt self-check failed: y * y differs from the series")
         return y
 
 

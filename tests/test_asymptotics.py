@@ -37,13 +37,21 @@ def test_zeta_lambda_four_window():
     assert sing.parity == "even"
 
 
+def _integer_value(coeffs, x):
+    """b^deg p(a/b) as an exact integer; it has the sign of p(x) for x = a/b."""
+    a, b = x.numerator, x.denominator
+    deg = len(coeffs) - 1
+    return sum(c * a ** i * b ** (deg - i) for i, c in enumerate(coeffs))
+
+
 def test_enclosure_properties():
-    for lam in range(1, 9):
+    for lam in range(1, 33):
         sing = find_zeta(lam)
         coeffs = singular_polynomial(lam)
         assert sing.high - sing.low <= Fraction(1, 10 ** 12)
-        assert _eval_poly(coeffs, sing.low) > 0 > _eval_poly(coeffs, sing.high)
+        assert _integer_value(coeffs, sing.low) > 0 > _integer_value(coeffs, sing.high)
         assert 0 < sing.zeta < 1
+        assert sing.low <= Fraction(sing.zeta) <= sing.high
         residual = abs(_eval_poly([float(c) for c in coeffs], sing.zeta))
         assert residual <= 1e-10
 
@@ -56,7 +64,7 @@ def test_odd_lambda_pairs_negative_root():
 
 
 def test_no_sign_change_before_the_bracket():
-    # the scan certifies the root is the smallest at grid resolution
+    # p stays positive on every grid point below the bracket
     for lam in (1, 2, 3, 4):
         sing = find_zeta(lam)
         coeffs = singular_polynomial(lam)
@@ -64,6 +72,52 @@ def test_no_sign_change_before_the_bracket():
         while Fraction(k, 1000) <= sing.low:
             assert _eval_poly(coeffs, Fraction(k, 1000)) > 0
             k += 1
+
+
+def _scan_then_bisect(lam):
+    """Reference isolation: scan p at k/1000 with Fraction Horner up to the
+    first negative value, then bisect to width 1e-12."""
+    coeffs = singular_polynomial(lam)
+    low, high = Fraction(0), None
+    for k in range(1, 1001):
+        x = Fraction(k, 1000)
+        if _eval_poly(coeffs, x) < 0:
+            high = x
+            break
+        low = x
+    while high - low > Fraction(1, 10 ** 12):
+        mid = (low + high) / 2
+        if _eval_poly(coeffs, mid) > 0:
+            low = mid
+        else:
+            high = mid
+    return low, high, float((low + high) / 2)
+
+
+def _synthetic_cofactor(lam, zeta):
+    """Reference cofactor: divide p by (z - zeta), and by (z + zeta) for odd
+    lam, in floats, and evaluate the scaled quotient at zeta."""
+    def divide(ascending, root):
+        out = [ascending[-1]]
+        for c in reversed(ascending[:-1]):
+            out.append(c + out[-1] * root)
+        out.pop()
+        return list(reversed(out))
+
+    quotient = divide([float(c) for c in singular_polynomial(lam)], zeta)
+    scale = -zeta
+    if lam % 2:
+        quotient = divide(quotient, -zeta)
+        scale = -zeta * zeta
+    return scale * _eval_poly(quotient, zeta)
+
+
+def test_find_zeta_matches_scan_then_bisect():
+    # the bracket is defined by the 1/1000 grid; every printed digit of the
+    # pi asymptotics depends on it, so it must not move by a single bit
+    for lam in range(1, 33):
+        sing = find_zeta(lam)
+        assert (sing.low, sing.high, sing.zeta) == _scan_then_bisect(lam), lam
 
 
 def test_find_zeta_range_validation():
@@ -94,14 +148,28 @@ def test_deflate_cofactor_sign_supports_positive_counts():
         assert sing.cofactor_at_zeta > 0
 
 
+def test_deflate_closed_form_matches_synthetic_division():
+    for lam in range(1, 33):
+        sing = deflate(lam, find_zeta(lam))
+        expected = _synthetic_cofactor(lam, sing.zeta)
+        assert abs(sing.cofactor_at_zeta - expected) <= 1e-13 * expected, lam
+
+
 def test_deflate_rejects_inaccurate_root():
     from dataclasses import replace
 
     from shapeforge.errors import LargeRemainder
 
-    sing = replace(find_zeta(4), zeta=0.5)
-    with pytest.raises(LargeRemainder):
-        deflate(4, sing)
+    good = find_zeta(4)
+    bad = (
+        replace(good, zeta=0.5),  # outside its bracket
+        replace(good, zeta=float(good.high) + 1e-9),
+        replace(good, low=Fraction(1, 2), high=Fraction(3, 4), zeta=0.6),  # no sign change
+        replace(good, low=Fraction(-1), high=Fraction(9, 10), zeta=0.5),  # leaves [0, 1]
+    )
+    for sing in bad:
+        with pytest.raises(LargeRemainder):
+            deflate(4, sing)
 
 
 # ---------------------------------------------------------------------------

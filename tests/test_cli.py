@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 from shapeforge.cli import main
 
@@ -129,6 +131,36 @@ def test_asymptotics_zeta(capsys):
     doc = json.loads(out)
     assert 0.7562 <= doc["zeta"] <= 0.7564
     assert abs(doc["expected_r0"] - 1.316) < 2e-3
+
+
+def test_asymptotics_zeta_paper_numbers_are_pinned(capsys):
+    code, out, _ = run(capsys, "asymptotics", "--target", "zeta", "--lambda", "4")
+    assert code == 0
+    assert out == (
+        "lambda: 4\n"
+        "zeta: 0.75632762032\n"
+        "parity: even\n"
+        "cofactor_at_zeta: 5.8263106431\n"
+        "distribution_base: 0.36388041871\n"
+        "expected_r0: 1.3155123715\n"
+    )
+
+
+def test_count_prints_integers_past_the_digit_limit(capsys):
+    # C_7200 has 4330 digits, past CPython's default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    expected = math.comb(14400, 7200) // 7201
+    code, plain, err = run(capsys, "count", "catalan", "--n", "7200")
+    assert (code, err) == (0, "")
+    code, doc, err = run(capsys, "count", "catalan", "--n", "7200", "--format", "json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # main() restores the limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert plain == f"{expected}\n"
+        assert json.loads(doc) == {"schema": "shapeforge/1", "value": expected}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_asymptotics_ratio(capsys):

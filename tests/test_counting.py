@@ -13,6 +13,7 @@ from oracles import (
     step_counts,
 )
 from shapeforge import ExactCounts
+from shapeforge.errors import DivisibilityFailure
 
 # ---------------------------------------------------------------------------
 # fixed example values
@@ -110,6 +111,14 @@ def test_level0_count_examples(counts):
     assert counts.level0_count(0, 2, 1) == 1
     with pytest.raises(ValueError):
         counts.level0_count(0, 4, 0)
+
+
+def test_level0_count_raises_on_non_integral_value(monkeypatch):
+    # (r0+1) C(n+1, u) F / (n+1) with F forced to 1 is 15/6 at r0=0, n=5, u=2
+    counts = ExactCounts()
+    monkeypatch.setattr(counts, "fib_poly_coeff", lambda n, k: 1)
+    with pytest.raises(DivisibilityFailure):
+        counts.level0_count(0, 5, 2)
 
 
 def test_level0_count_against_enumeration(counts):

@@ -19,6 +19,7 @@ from shapeforge import (
 from shapeforge.errors import (
     NonUnitConstantTerm,
     ResourceGuardExceeded,
+    SelfCheckFailure,
     UnknownIdentity,
 )
 
@@ -54,7 +55,7 @@ def test_sqrt_square_round_trip_on_random_polynomial_series():
             }
             coeffs.append(Poly(variables, terms))
         s = TruncatedSeries("z", coeffs, 20, Poly.zero(variables))
-        root = s.sqrt()  # sqrt() asserts root * root == s internally
+        root = s.sqrt()  # sqrt() checks root * root == s internally
         assert root * root == s
 
 
@@ -64,6 +65,14 @@ def test_sqrt_inverts_squaring(tail):
     coeffs = [Fraction(1)] + [Fraction(c) for c in tail]
     f = TruncatedSeries("w", coeffs, len(coeffs) - 1)
     assert (f * f).sqrt() == f
+
+
+def test_sqrt_self_check_raises(monkeypatch):
+    # a broken Newton step must be caught by a check that python -O keeps
+    monkeypatch.setattr(TruncatedSeries, "inverse", lambda self: self)
+    s = TruncatedSeries("w", [Fraction(1), Fraction(-4)], 6)
+    with pytest.raises(SelfCheckFailure):
+        s.sqrt()
 
 
 def test_inverse_requires_unit_constant_term():
