@@ -28,7 +28,7 @@ from .asymptotics import (
     find_zeta,
 )
 from .counting import ExactCounts
-from .errors import ShapeforgeError
+from .errors import ResourceGuardExceeded, ShapeforgeError
 from .paths import PathKind, decode1, decode2, encode1, encode2, parse_path
 from .series import (
     IDENTITY_NAMES,
@@ -180,38 +180,49 @@ def _cmd_bijection(args) -> int:
     return 0
 
 
+# largest --n (--ell for islands) per count family; each finishes within
+# about a second of CPU and 70 MB on a 2-vCPU machine
+_COUNT_GUARDS = {
+    "catalan": 100000,
+    "motzkin": 20000,
+    "motzkin-coeff": 3000,
+    "narayana": 2000,
+    "convolution": 2000,
+    "level0": 400,
+    "islands": 200,
+}
+
+
 def _cmd_count(args) -> int:
     counts = ExactCounts()
     family = args.family
+    flag = "ell" if family == "islands" else "n"
+    size = getattr(args, flag)
+    _require(size is not None, f"{family} needs --{flag}")
+    limit = _guard(_COUNT_GUARDS[family])
+    if size > limit:
+        raise ResourceGuardExceeded(f"count {family}: --{flag} {size} exceeds guard {limit}")
     if family == "catalan":
-        _require(args.n is not None, "catalan needs --n")
-        _emit_value(args, counts.catalan(args.n))
+        _emit_value(args, counts.catalan(size))
     elif family == "motzkin":
-        _require(args.n is not None, "motzkin needs --n")
-        _emit_value(args, counts.motzkin_number(args.n))
+        _emit_value(args, counts.motzkin_number(size))
     elif family == "motzkin-coeff":
-        _require(args.n is not None, "motzkin-coeff needs --n")
-        rows = [(k, counts.motzkin_poly_coeff(args.n, k)) for k in range(args.n // 2 + 1)]
+        rows = [(k, counts.motzkin_poly_coeff(size, k)) for k in range(size // 2 + 1)]
         _emit_rows(args, ["k", "count"], rows)
     elif family == "narayana":
-        _require(args.n is not None, "narayana needs --n")
-        rows = [(k, counts.narayana(args.n, k)) for k in range(1, args.n + 1)]
+        rows = [(k, counts.narayana(size, k)) for k in range(1, size + 1)]
         _emit_rows(args, ["k", "count"], rows)
     elif family == "convolution":
-        _require(args.n is not None, "convolution needs --n")
-        rows = [(p, counts.catalan_convolution(args.n, p)) for p in range(1, args.n + 1)]
+        rows = [(p, counts.catalan_convolution(size, p)) for p in range(1, size + 1)]
         _emit_rows(args, ["p", "count"], rows)
     elif family == "level0":
-        _require(args.n is not None, "level0 needs --n")
-        rows = [(r0, counts.level0_total(r0, args.n)) for r0 in range(args.n + 1)]
+        rows = [(r0, counts.level0_total(r0, size)) for r0 in range(size + 1)]
         _emit_rows(args, ["r0", "count"], rows)
     else:  # islands
-        _require(args.ell is not None, "islands needs --ell")
-        ell = args.ell
         rows = []
-        for h in range(1, ell + 1):
-            for islands in range(h + 1, 2 * ell + 1):
-                c = counts.island_count(h, islands, ell)
+        for h in range(1, size + 1):
+            for islands in range(h + 1, 2 * size + 1):
+                c = counts.island_count(h, islands, size)
                 if c:
                     rows.append((h, islands, c))
         _emit_rows(args, ["hairpins", "islands", "count"], rows)

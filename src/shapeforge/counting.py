@@ -98,13 +98,15 @@ class ExactCounts:
         )
 
     def motzkin_number(self, n: int) -> int:
-        """Number of Motzkin paths of size n."""
+        """Number of Motzkin paths of size n, from the P-recurrence
+        (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}."""
         if n < 0:
             raise ValueError(f"motzkin_number: n must be nonnegative, got {n}")
-        return self._memo(
-            ("motznum", n),
-            lambda: sum(self.motzkin_poly_coeff(n, k) for k in range(n // 2 + 1)),
-        )
+        with self._lock:
+            m = self._cache.setdefault("motznum", [1, 1])
+            for k in range(len(m), n + 1):
+                m.append(((2 * k + 1) * m[k - 1] + 3 * (k - 1) * m[k - 2]) // (k + 2))
+            return m[n]
 
     # -- level-0 horizontal-step refinements ---------------------------------
 

@@ -34,7 +34,10 @@ class NonzeroFinalHeight(ShapeforgeError):
 
 
 class NotInImage(ShapeforgeError):
-    """A bracket string has no preimage under the path encoding."""
+    """A bracket string has no preimage under the path encoding.
+
+    Decoding no longer raises it: every matched string has a preimage.
+    Kept because ``shapeforge.errors`` is public."""
 
 
 class NonUnitConstantTerm(ShapeforgeError):

@@ -16,6 +16,25 @@ closes the last group, the steps act as
 A full path of size n yields a matched string of n + 1 pairs.  Only B can
 create a directly nested pair, so paths without B (plain Motzkin paths) map
 onto exactly the pi shapes.
+
+Decoding reads the steps back in one left-to-right pass over the string's
+tree of pairs, keeping a stack of child counts:
+
+    "(" opening the 2nd child of a pair             U
+    "(" opening a later child, or a later tree      R (H for Motzkin paths)
+    ")" closing a pair with exactly one child       B
+    ")" closing a pair with two or more children    D
+    ")" closing a leaf                              nothing
+
+Each step appends one token at the end, "()" for U and R and ")" for D and
+B; the "(" that U and B write in front of the last group carries no step.
+The rule is forced.  U opens a pair holding the last group and a new leaf,
+and R only appends, so at height >= 1 the open forest (the children of the
+innermost open pair) always holds at least two trees: a trailing leaf comes
+from U exactly when it is the second of two.  D closes such a pair while B
+wraps a single group, so a pair's child count tells B from D.  Every
+matched string thus has exactly one preimage, and decoding never fails on
+one.
 """
 
 from __future__ import annotations
@@ -28,11 +47,10 @@ from .errors import (
     IllegalCharacter,
     NegativeHeight,
     NonzeroFinalHeight,
-    NotInImage,
     ResourceGuardExceeded,
     UnbalancedBrackets,
 )
-from .structures import IslandDiagram, PiShape
+from .structures import IslandDiagram, PiShape, island_texts, match_brackets
 
 
 class PathKind(Enum):
@@ -145,35 +163,28 @@ def path_stats(path: LatticePath) -> PathStats:
 # bracket-string encoding
 
 
-def _split_last_group(s: str) -> tuple[str, str]:
-    """Split s == head + "(" + inner + ")" at the final group; ignores "_"."""
-    depth = 0
-    for i in range(len(s) - 1, -1, -1):
-        ch = s[i]
-        if ch == ")":
-            depth += 1
-        elif ch == "(":
-            depth -= 1
-            if depth == 0:
-                return s[:i], s[i + 1 : len(s) - 1]
-    raise UnbalancedBrackets(f"no opener for the final ')' in {s!r}")
-
-
 def _encode_steps(steps: str) -> str:
-    s = "()"
+    """Replay the steps on tokens: "()" per leaf, ")" per closing step.
+
+    U and B write their "(" in front of the last group, so each token keeps
+    a count of the openers written before it, and each open level keeps the
+    token where its last group starts.
+    """
+    tokens = ["()"]
+    lead = [0]
+    last = [0]
     for ch in steps:
-        if ch == "D":
-            s = s + ")"
-        elif ch in ("R", "H"):
-            s = s + "()"
-        else:
-            head, inner = _split_last_group(s)
-            core = "(" + inner + ")"
-            if ch == "U":
-                s = head + "(" + core + "()"
-            else:  # B
-                s = head + "(" + core + ")"
-    return s
+        if ch in "UB":
+            lead[last[-1]] += 1
+        if ch == "U":
+            last.append(len(tokens))
+        elif ch in "RH":
+            last[-1] = len(tokens)
+        elif ch == "D":
+            last.pop()
+        tokens.append("()" if ch in "URH" else ")")
+        lead.append(0)
+    return "".join("(" * k + tok for k, tok in zip(lead, tokens))
 
 
 def encode2(path: LatticePath) -> str:
@@ -191,113 +202,39 @@ def encode1(path: LatticePath) -> PiShape:
     return PiShape(s.replace("(", "[").replace(")", "]"))
 
 
-def _undo_candidates(s: str, allow_blue: bool):
-    """Possible (step, previous string) undos of the final encoding step.
-
-    The last step is not locally determined: a trailing "()" may come from U
-    or R and a trailing "))" from B or D, so the inverse tries candidates in
-    the fixed order B, D, U, R and lets the caller backtrack.
-    """
-    out = []
-    if s.endswith("))"):
-        if allow_blue:
-            head, inner = _split_last_group(s)
-            if inner.startswith("("):
-                depth = 0
-                for k, ch in enumerate(inner):
-                    depth += 1 if ch == "(" else -1
-                    if depth == 0:
-                        break
-                if k == len(inner) - 1:
-                    out.append(("B", head + inner))
-        out.append(("D", s[:-1]))
-    elif s.endswith("()") and len(s) > 2:
-        t = s[:-2]
-        if t.endswith(")"):
-            head, inner = _split_last_group(t)
-            if head.endswith("("):
-                out.append(("U", head[:-1] + "(" + inner + ")"))
-            out.append(("R", t))
-    return out
-
-
-def _invert(s: str, allow_blue: bool) -> str | None:
-    """Recover the forward step string for s, or None if s is unreachable.
-
-    Depth-first over undo candidates with an explicit stack, memoizing
-    strings whose whole undo subtree failed.
-    """
-    if s == "()":
-        return ""
-    dead: set[str] = set()
-    frames = [(s, _undo_candidates(s, allow_blue))]
-    cursor = [0]
-    chosen = [""]
-    while frames:
-        cur, cands = frames[-1]
-        i = cursor[-1]
-        if i >= len(cands):
-            dead.add(cur)
-            frames.pop()
-            cursor.pop()
-            chosen.pop()
-            if cursor:
-                cursor[-1] += 1
-            continue
-        letter, prev = cands[i]
-        chosen[-1] = letter
-        if prev == "()":
-            return "".join(reversed(chosen))
-        if prev in dead:
-            cursor[-1] += 1
-            continue
-        frames.append((prev, _undo_candidates(prev, allow_blue)))
-        cursor.append(0)
-        chosen.append("")
-    return None
-
-
-def _check_matched(s: str) -> int:
-    """Validate a matched bracket string over "()"; return its pair count."""
-    bad = set(s) - set("()")
-    if bad:
-        raise IllegalCharacter(f"bracket string characters {sorted(bad)}")
-    depth = 0
-    for i, ch in enumerate(s):
-        depth += 1 if ch == "(" else -1
-        if depth < 0:
-            raise UnbalancedBrackets(f"unmatched ')' at index {i}")
-    if depth != 0:
-        raise UnbalancedBrackets("unmatched '('")
-    return len(s) // 2
+def _decode_steps(s: str, opener: str, flat: str) -> str:
+    """Read the steps off a matched string by the rule in the module docstring."""
+    steps = []
+    kids = [0]  # child counts of the open pairs; kids[0] counts the trees
+    for ch in s:
+        if ch == opener:
+            kids[-1] += 1
+            if kids[-1] >= 2:
+                steps.append("U" if kids[-1] == 2 and len(kids) > 1 else flat)
+            kids.append(0)
+        else:
+            k = kids.pop()
+            if k:
+                steps.append("B" if k == 1 else "D")
+    return "".join(steps)
 
 
 def decode2(s: str) -> LatticePath:
-    """Invert encode2 by a backtracking reverse replay.
-
-    A candidate undo is accepted only when the whole chain reaches "()";
-    failed intermediate strings are memoized per call.  Raises NotInImage if
-    no chain succeeds (the encoding is onto matched strings, so this
-    signals a malformed input rather than occurring for valid ones).
-    """
-    pairs = _check_matched(s)
-    if pairs < 1:
+    """Invert encode2 in one pass; every matched string has a preimage."""
+    bad = set(s) - set("()")
+    if bad:
+        raise IllegalCharacter(f"bracket string characters {sorted(bad)}")
+    match_brackets(s)
+    if not s:
         raise UnbalancedBrackets("decode2 needs at least one pair")
-    steps = _invert(s, allow_blue=True)
-    if steps is None:
-        raise NotInImage(f"{s!r} is not the encoding of any 2-Motzkin path")
-    return LatticePath(PathKind.MOTZKIN2, steps)
+    return LatticePath(PathKind.MOTZKIN2, _decode_steps(s, "(", "R"))
 
 
 def decode1(shape: PiShape | str) -> LatticePath:
     """Invert encode1; raises DirectlyNested when the input is not a pi shape."""
     if not isinstance(shape, PiShape):
         shape = PiShape(shape)
-    s = shape.text.replace("[", "(").replace("]", ")")
-    steps = _invert(s, allow_blue=False)
-    if steps is None:
-        raise NotInImage(f"{shape.text!r} is not the encoding of any Motzkin path")
-    return LatticePath(PathKind.MOTZKIN1, steps.replace("R", "H"))
+    return LatticePath(PathKind.MOTZKIN1, _decode_steps(shape.text, "[", "H"))
 
 
 # ---------------------------------------------------------------------------
@@ -305,41 +242,12 @@ def decode1(shape: PiShape | str) -> LatticePath:
 
 
 def decorate_islands(path: LatticePath, limit: int = 8) -> set:
-    """All island diagrams that a 2-Motzkin path expands to.
-
-    Replays the encoding on decorated strings, starting from the hairpin
-    "(_)".  Each new bracket from U or D optionally carries a blank beside
-    it, each appended hairpin may be preceded by a blank, and a B step nests
-    the last group as a stack, one of the two bulges, or an interior loop:
-
-        U: head ( g1 (inner) g2 (_)      g1, g2 optional blanks
-        D: head (inner) g )
-        R: head (inner) g (_)
-        B: head ( g1 (inner) g2 )
-    """
+    """All island diagrams that a 2-Motzkin path expands to: the blank
+    expansions (``island_texts``) of its encoding."""
     if path.kind is not PathKind.MOTZKIN2:
         raise ValueError("decorate_islands expects a 2-Motzkin path")
     if path.size > limit:
         raise ResourceGuardExceeded(
             f"decorate_islands: size {path.size} exceeds guard {limit}"
         )
-    blanks = ("", "_")
-    texts = {"(_)"}
-    for ch in path.steps:
-        nxt = set()
-        for s in texts:
-            if ch == "D":
-                for g in blanks:
-                    nxt.add(s + g + ")")
-            elif ch == "R":
-                for g in blanks:
-                    nxt.add(s + g + "(_)")
-            else:
-                head, inner = _split_last_group(s)
-                core = "(" + inner + ")"
-                tail = "(_)" if ch == "U" else ")"
-                for g1 in blanks:
-                    for g2 in blanks:
-                        nxt.add(head + "(" + g1 + core + g2 + tail)
-        texts = nxt
-    return {IslandDiagram(t) for t in texts}
+    return {IslandDiagram(t) for t in island_texts(encode2(path))}

@@ -58,32 +58,45 @@ class SecondaryStructure:
         return self.pairing[i] is not None
 
 
+def match_brackets(text: str, open_ch: str = "(", close_ch: str = ")") -> list:
+    """Partner index of every bracket in text, None for any other character.
+
+    Raises UnbalancedBrackets naming the 1-based position of the first
+    unmatched closer, or else of the last unmatched opener.
+    """
+    partner: list = [None] * len(text)
+    stack: list[int] = []
+    for i, ch in enumerate(text):
+        if ch == open_ch:
+            stack.append(i)
+        elif ch == close_ch:
+            if not stack:
+                raise UnbalancedBrackets(f"unmatched {close_ch!r} at position {i + 1}")
+            j = stack.pop()
+            partner[i] = j
+            partner[j] = i
+    if stack:
+        raise UnbalancedBrackets(f"unmatched {open_ch!r} at position {stack[-1] + 1}")
+    return partner
+
+
 def parse_structure(text: str) -> SecondaryStructure:
     """Parse a dot-bracket string over ".()" into a validated structure.
 
     Bracket matching makes crossings and triples impossible; the adjacent
     pair ban is checked explicitly.  Raises IllegalCharacter,
-    UnbalancedBrackets or AdjacentPair.
+    UnbalancedBrackets or AdjacentPair, checked in that order; positions
+    in the messages are 1-based.
     """
-    pairing: list = [None] * (len(text) + 1)
-    stack: list[int] = []
-    for pos, ch in enumerate(text, start=1):
-        if ch == ".":
-            continue
-        if ch == "(":
-            stack.append(pos)
-        elif ch == ")":
-            if not stack:
-                raise UnbalancedBrackets(f"unmatched ')' at position {pos}")
-            i = stack.pop()
-            if pos == i + 1:
-                raise AdjacentPair(f"pair ({i},{pos}) joins adjacent vertices")
-            pairing[i] = pos
-            pairing[pos] = i
-        else:
-            raise IllegalCharacter(f"character {ch!r} at position {pos}")
-    if stack:
-        raise UnbalancedBrackets(f"unmatched '(' at position {stack[-1]}")
+    bad = set(text) - set(".()")
+    if bad:
+        i = min(map(text.index, bad))
+        raise IllegalCharacter(f"character {text[i]!r} at position {i + 1}")
+    partner = match_brackets(text)
+    if "()" in text:
+        i = text.index("()") + 1
+        raise AdjacentPair(f"pair ({i},{i + 1}) joins adjacent vertices")
+    pairing = [None] + [None if j is None else j + 1 for j in partner]
     return SecondaryStructure(len(text), tuple(pairing))
 
 
@@ -216,22 +229,12 @@ def analyze_elements(ss: SecondaryStructure) -> ElementReport:
 # abstract shapes
 
 
-def _match_brackets(text: str, open_ch: str, close_ch: str) -> dict[int, int]:
-    """Positions of matching brackets (both directions); other chars skipped."""
-    match: dict[int, int] = {}
-    stack: list[int] = []
-    for i, ch in enumerate(text):
-        if ch == open_ch:
-            stack.append(i)
-        elif ch == close_ch:
-            if not stack:
-                raise UnbalancedBrackets(f"unmatched {close_ch!r} at index {i}")
-            j = stack.pop()
-            match[j] = i
-            match[i] = j
-    if stack:
-        raise UnbalancedBrackets(f"unmatched {open_ch!r} at index {stack[-1]}")
-    return match
+def _directly_nested(partner: list) -> list:
+    """Openers of the pairs that directly enclose a single spanning pair."""
+    return [
+        i for i, j in enumerate(partner)
+        if j is not None and i + 1 < j - 1 and partner[i + 1] == j - 1
+    ]
 
 
 @dataclass(frozen=True)
@@ -245,17 +248,15 @@ class IslandDiagram:
         bad = set(t) - set("()_")
         if bad:
             raise IllegalCharacter(f"island diagram characters {sorted(bad)}")
-        match = _match_brackets(t, "(", ")")
+        partner = match_brackets(t)
         if t.startswith("_") or t.endswith("_"):
             raise ValueError(f"island diagram has a tail blank: {t!r}")
         if "__" in t:
             raise ValueError(f"island diagram has consecutive blanks: {t!r}")
         # with doubled blanks excluded, an interior of length >= 3 always
         # holds a bracket, so only the two shortest interiors need checking
-        for i, j in match.items():
-            if i < j and j - i == 1:
-                raise ValueError(f"hairpin without a single blank at {i} in {t!r}")
-            if i < j and j - i == 2 and t[i + 1] != "_":
+        for i, j in enumerate(partner):
+            if j is not None and 0 < j - i <= 2 and t[i + 1 : j] != "_":
                 raise ValueError(f"hairpin without a single blank at {i} in {t!r}")
 
     def stats(self) -> tuple[int, int, int]:
@@ -277,12 +278,11 @@ class PiPrimeShape:
         bad = set(t) - set("[]_")
         if bad:
             raise IllegalCharacter(f"pi-prime characters {sorted(bad)}")
-        match = _match_brackets(t, "[", "]")
+        nested = _directly_nested(match_brackets(t, "[", "]"))
         if "__" in t:
             raise ValueError(f"pi-prime shape has consecutive blanks: {t!r}")
-        for i, j in match.items():
-            if i < j and i + 1 < j - 1 and match.get(i + 1) == j - 1:
-                raise DirectlyNested(f"unseparated nested pair at {i} in {t!r}")
+        if nested:
+            raise DirectlyNested(f"unseparated nested pair at {nested[0]} in {t!r}")
 
 
 @dataclass(frozen=True)
@@ -298,10 +298,9 @@ class PiShape:
             raise IllegalCharacter(f"pi shape characters {sorted(bad)}")
         if not t:
             raise EmptyResult("pi shape must be nonempty")
-        match = _match_brackets(t, "[", "]")
-        for i, j in match.items():
-            if i < j and i + 1 < j - 1 and match.get(i + 1) == j - 1:
-                raise DirectlyNested(f"directly nested pair at {i} in {t!r}")
+        nested = _directly_nested(match_brackets(t, "[", "]"))
+        if nested:
+            raise DirectlyNested(f"directly nested pair at {nested[0]} in {t!r}")
 
 
 def to_island_diagram(ss: SecondaryStructure) -> IslandDiagram:
@@ -346,19 +345,21 @@ def to_pi_prime(ss: SecondaryStructure) -> PiPrimeShape:
 
 
 def to_pi(shape: PiPrimeShape) -> PiShape:
-    """Remove blanks and merge directly nested pairs until stable."""
+    """Remove blanks and merge directly nested pairs.
+
+    A pi-prime shape has no directly nested pair, so every chain of them
+    comes from removed blanks; dropping each pair directly nested in its
+    parent leaves pairs that enclose nothing or two or more pairs, so one
+    pass suffices.
+    """
     s = shape.text.replace("_", "")
     if not s:
         raise EmptyResult("pi shape of a structure without base pairs")
-    while True:
-        match = _match_brackets(s, "[", "]")
-        drop = set()
-        for i, j in match.items():
-            if i < j and i + 1 < j - 1 and match.get(i + 1) == j - 1:
-                drop.update((i + 1, j - 1))
-        if not drop:
-            return PiShape(s)
-        s = "".join(ch for k, ch in enumerate(s) if k not in drop)
+    partner = match_brackets(s, "[", "]")
+    drop = set()
+    for i in _directly_nested(partner):
+        drop.update((i + 1, partner[i + 1]))
+    return PiShape("".join(ch for k, ch in enumerate(s) if k not in drop))
 
 
 def pi_stats(shape: PiShape) -> PiStats:
@@ -396,11 +397,32 @@ def _matched_strings(pairs: int) -> Iterator[str]:
                 yield "(" + inner + ")" + rest
 
 
+def island_texts(base: str) -> Iterator[str]:
+    """Every island diagram text over the matched string base, each once.
+
+    Every "()" receives a mandatory blank and each remaining internal gap
+    at most one optional blank.
+    """
+    gaps = range(1, len(base))  # gap g sits between base[g-1] and base[g]
+    mandatory = [g for g in gaps if base[g - 1] == "(" and base[g] == ")"]
+    optional = [g for g in gaps if g not in mandatory]
+    for chosen in itertools.chain.from_iterable(
+        itertools.combinations(optional, k) for k in range(len(optional) + 1)
+    ):
+        blanks = set(mandatory)
+        blanks.update(chosen)
+        out = []
+        for g, ch in enumerate(base):
+            if g in blanks:
+                out.append("_")
+            out.append(ch)
+        yield "".join(out)
+
+
 def generate_island_diagrams(ell: int, limit: int = 10) -> Iterator[IslandDiagram]:
     """Yield every island diagram with ell base pairs exactly once.
 
-    Each matched string of ell pairs receives a mandatory blank inside every
-    "()" and at most one optional blank in each remaining internal gap.
+    Expands each matched string of ell pairs with ``island_texts``.
     Intended for ell <= 8; guarded above ``limit``.
     """
     if ell < 1:
@@ -410,17 +432,5 @@ def generate_island_diagrams(ell: int, limit: int = 10) -> Iterator[IslandDiagra
             f"generate_island_diagrams: ell = {ell} exceeds guard {limit}"
         )
     for base in _matched_strings(ell):
-        gaps = range(1, 2 * ell)  # gap g sits between base[g-1] and base[g]
-        mandatory = [g for g in gaps if base[g - 1] == "(" and base[g] == ")"]
-        optional = [g for g in gaps if g not in mandatory]
-        for chosen in itertools.chain.from_iterable(
-            itertools.combinations(optional, k) for k in range(len(optional) + 1)
-        ):
-            blanks = set(mandatory)
-            blanks.update(chosen)
-            out = []
-            for g, ch in enumerate(base):
-                if g in blanks:
-                    out.append("_")
-                out.append(ch)
-            yield IslandDiagram("".join(out))
+        for text in island_texts(base):
+            yield IslandDiagram(text)

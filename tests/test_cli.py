@@ -194,6 +194,18 @@ def test_guard_env_override(monkeypatch, capsys):
     assert _guard(2000) == 2000  # never lowers a guard
 
 
+def test_count_refuses_sizes_above_its_guard(capsys):
+    code, out, err = run(capsys, "count", "motzkin", "--n", "20001")
+    assert (code, out) == (1, "")
+    assert "ResourceGuardExceeded" in err
+    code, out, err = run(capsys, "count", "islands", "--ell", "201", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "ResourceGuardExceeded" in err
+    code, out, err = run(capsys, "count", "motzkin", "--n", "10000")
+    assert (code, err) == (0, "")
+    assert len(out) > 4000
+
+
 def test_domain_error_is_one_line_naming_invariant(capsys):
     code, out, err = run(capsys, "bijection", "decode1", "--in", "[[]]")
     assert code == 1

@@ -202,6 +202,13 @@ def test_motzkin_coeffs_sum_to_motzkin_number(counts):
         assert total == counts.motzkin_number(n)
 
 
+def test_motzkin_recurrence_matches_coefficient_sum_at_large_n():
+    counts = ExactCounts()
+    for n in (500, 1001):
+        total = sum(counts.motzkin_poly_coeff(n, k) for k in range(n // 2 + 1))
+        assert counts.motzkin_number(n) == total
+
+
 def test_convolution_sums_to_catalan(counts):
     for u in range(1, 11):
         assert sum(counts.catalan_convolution(u, p) for p in range(1, u + 1)) == counts.catalan(u)

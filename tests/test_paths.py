@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +181,46 @@ def test_deep_strings_do_not_overflow_the_stack():
     assert encode1(path).text == wide
 
 
+def _random_steps(rng, n, alphabet):
+    """A uniformly stepped path of exactly n steps over alphabet."""
+    steps, h = [], 0
+    for remaining in range(n, 0, -1):
+        allowed = [
+            c for c in alphabet
+            if (c != "D" or h > 0) and (c != "U" or h + 1 < remaining)
+            and (c == "D" or h < remaining)
+        ]
+        ch = rng.choice(allowed)
+        steps.append(ch)
+        h += (ch == "U") - (ch == "D")
+    return "".join(steps)
+
+
+@pytest.mark.parametrize("kind, shape", [
+    (M1, "nested"), (M1, "random"), (M1, "flat"),
+    (M2, "nested"), (M2, "random"), (M2, "flat"), (M2, "blue"),
+])
+def test_round_trip_of_1e5_steps_is_linear(kind, shape):
+    n = 10 ** 5
+    flat = "H" if kind is M1 else "R"
+    if shape == "random":
+        steps = _random_steps(random.Random(7), n, kind.alphabet)
+    else:
+        steps = {"nested": "U" * (n // 2) + "D" * (n // 2), "flat": flat * n, "blue": "B" * n}[shape]
+    path = parse_path(steps, kind)
+    start = time.process_time()
+    if kind is M2:
+        encoded = encode2(path)
+        decoded = decode2(encoded)
+    else:
+        encoded = encode1(path).text
+        decoded = decode1(encoded)
+    elapsed = time.process_time() - start
+    assert len(encoded) == 2 * (n + 1)
+    assert decoded == path
+    assert elapsed < 5.0, f"{shape} round trip took {elapsed:.2f} s of CPU"
+
+
 @st.composite
 def random_m2_steps(draw):
     n = draw(st.integers(min_value=0, max_value=30))
@@ -228,3 +271,42 @@ def test_decorations_partition_all_island_diagrams():
         expected = {d.text for d in generate_island_diagrams(n + 1)}
         assert union == expected
         assert total == len(expected)
+
+
+def _replay_decorations(steps):
+    """The per-step decorated replay that decorate_islands once ran."""
+
+    def split_last_group(s):
+        depth = 0
+        for i in range(len(s) - 1, -1, -1):
+            if s[i] == ")":
+                depth += 1
+            elif s[i] == "(":
+                depth -= 1
+                if depth == 0:
+                    return s[:i], s[i + 1 : len(s) - 1]
+
+    blanks = ("", "_")
+    texts = {"(_)"}
+    for ch in steps:
+        nxt = set()
+        for s in texts:
+            if ch == "D":
+                nxt.update(s + g + ")" for g in blanks)
+            elif ch == "R":
+                nxt.update(s + g + "(_)" for g in blanks)
+            else:
+                head, inner = split_last_group(s)
+                tail = "(_)" if ch == "U" else ")"
+                for g1 in blanks:
+                    for g2 in blanks:
+                        nxt.add(head + "(" + g1 + "(" + inner + ")" + g2 + tail)
+        texts = nxt
+    return texts
+
+
+def test_decorations_match_the_per_step_replay():
+    for n in range(6):
+        for path in enumerate_paths(n, M2):
+            mine = {d.text for d in decorate_islands(path)}
+            assert mine == _replay_decorations(path.steps), path.steps

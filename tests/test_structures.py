@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_by
+from oracles import balanced_strings, count_by
 from shapeforge import (
     IslandDiagram,
     PiPrimeShape,
@@ -155,6 +155,34 @@ def test_pi_examples():
     assert to_pi(PiPrimeShape("_[[[_]_[_]]_]")).text == "[[][]]"
     assert to_pi(PiPrimeShape("[_]")).text == "[]"
     assert to_pi(PiPrimeShape("[[_]_]")).text == "[]"
+
+
+def _to_pi_until_stable(s):
+    """Merge directly nested pairs until none is left, rematching each round."""
+    while True:
+        match, stack = {}, []
+        for i, ch in enumerate(s):
+            if ch == "[":
+                stack.append(i)
+            else:
+                j = stack.pop()
+                match[i], match[j] = j, i
+        drop = set()
+        for i, j in match.items():
+            if i < j and i + 1 < j - 1 and match.get(i + 1) == j - 1:
+                drop.update((i + 1, j - 1))
+        if not drop:
+            return s
+        s = "".join(ch for k, ch in enumerate(s) if k not in drop)
+
+
+def test_to_pi_matches_the_until_stable_loop():
+    for pairs in range(1, 10):
+        for base in balanced_strings(pairs):
+            s = base.replace("(", "[").replace(")", "]")
+            # a blank after every opener separates all nestings
+            prime = PiPrimeShape(s.replace("[", "[_"))
+            assert to_pi(prime).text == _to_pi_until_stable(s), s
 
 
 def test_pi_empty_errors():
