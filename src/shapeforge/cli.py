@@ -31,6 +31,7 @@ from .counting import ExactCounts
 from .errors import ResourceGuardExceeded, ShapeforgeError
 from .paths import PathKind, decode1, decode2, encode1, encode2, parse_path
 from .series import (
+    IDENTITY_BOUNDS,
     IDENTITY_NAMES,
     compatible_counts,
     verify_identity,
@@ -180,16 +181,16 @@ def _cmd_bijection(args) -> int:
     return 0
 
 
-# largest --n (--ell for islands) per count family; each finishes within
-# about a second of CPU and 70 MB on a 2-vCPU machine
-_COUNT_GUARDS = {
-    "catalan": 100000,
-    "motzkin": 20000,
-    "motzkin-coeff": 3000,
-    "narayana": 2000,
-    "convolution": 2000,
-    "level0": 400,
-    "islands": 200,
+# smallest and largest --n (--ell for islands) per count family; the
+# largest finishes within about a second of CPU and 70 MB on a 2-vCPU machine
+_COUNT_SIZES = {
+    "catalan": (0, 100000),
+    "motzkin": (0, 20000),
+    "motzkin-coeff": (0, 3000),
+    "narayana": (1, 2000),
+    "convolution": (1, 2000),
+    "level0": (0, 400),
+    "islands": (1, 200),
 }
 
 
@@ -199,7 +200,10 @@ def _cmd_count(args) -> int:
     flag = "ell" if family == "islands" else "n"
     size = getattr(args, flag)
     _require(size is not None, f"{family} needs --{flag}")
-    limit = _guard(_COUNT_GUARDS[family])
+    minimum, default_limit = _COUNT_SIZES[family]
+    if size < minimum:
+        raise ValueError(f"count {family}: --{flag} {size} is below {minimum}")
+    limit = _guard(default_limit)
     if size > limit:
         raise ResourceGuardExceeded(f"count {family}: --{flag} {size} exceeds guard {limit}")
     if family == "catalan":
@@ -231,13 +235,17 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = IDENTITY_NAMES if args.name == "all" else (args.name,)
-    counts = ExactCounts()
-    reports = []
+    bounds = {}
     for name in names:
         bound = args.bound
         if bound is None and name == "island_gf_forms_agree" and args.order is not None:
             bound = args.order
-        reports.append(verify_identity(name, bound, counts))
+        limit = _guard(IDENTITY_BOUNDS[name][1])
+        if bound is not None and bound > limit:
+            raise ResourceGuardExceeded(f"verify {name}: bound {bound} exceeds guard {limit}")
+        bounds[name] = bound
+    counts = ExactCounts()
+    reports = [verify_identity(name, bound, counts) for name, bound in bounds.items()]
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "reports": [r.to_json() for r in reports]}))
     else:

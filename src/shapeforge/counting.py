@@ -14,11 +14,14 @@ from .errors import DivisibilityFailure
 
 
 class ExactCounts:
-    """Memoized counting functions behind an explicit per-instance cache.
+    """Counting functions, most of them memoized in a per-instance cache.
 
     Each instance owns a single cache dict guarded by a re-entrant lock, so
     an instance may be shared between threads; results never depend on cache
     state.  Create separate instances for isolated cache lifetimes.
+    level0_count and the fib_poly_coeff binomial it calls are not cached:
+    the compatible-shape tables visit each of their values once, so caching
+    them only adds a lookup.
     """
 
     def __init__(self):
@@ -82,7 +85,7 @@ class ExactCounts:
         top = a - b - 1
         if b < 0 or top < 0 or b > top:
             return 0
-        return self.binomial(top, b)
+        return math.comb(top, b)
 
     # -- Motzkin-path counts --------------------------------------------------
 
@@ -119,15 +122,11 @@ class ExactCounts:
             raise ValueError(f"level0_count: u must be positive, got {u}")
         if r0 < 0 or n < 0:
             raise ValueError("level0_count: r0 and n must be nonnegative")
-
-        def compute():
-            prod = (r0 + 1) * math.comb(n + 1, u) * self.fib_poly_coeff(n - r0 - 1, u - 1)
-            q, rem = divmod(prod, n + 1)
-            if rem:
-                raise DivisibilityFailure(f"level0_count({r0},{n},{u}): non-integral value")
-            return q
-
-        return self._memo(("lvl0", r0, n, u), compute)
+        prod = (r0 + 1) * math.comb(n + 1, u) * self.fib_poly_coeff(n - r0 - 1, u - 1)
+        q, rem = divmod(prod, n + 1)
+        if rem:
+            raise DivisibilityFailure(f"level0_count({r0},{n},{u}): non-integral value")
+        return q
 
     def level0_count_sumform(self, r0: int, n: int, u: int) -> int:
         """Same count as level0_count, built from the convolution formula.

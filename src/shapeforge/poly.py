@@ -1,13 +1,17 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over the rationals, computed in integers.
 
 A polynomial keeps a fixed tuple of variable names and a dict mapping
-exponent tuples to nonzero Fraction coefficients.  All arithmetic is exact;
-zero coefficients are never stored.
+exponent tuples to nonzero coefficients.  A coefficient is stored as an
+int whenever it is integral and as a Fraction only otherwise, so
+polynomials with integer coefficients multiply in plain big-int
+arithmetic.  All arithmetic is exact; zero coefficients are never stored
+and no float is ever produced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import DivisibilityFailure
@@ -15,8 +19,43 @@ from .errors import DivisibilityFailure
 Scalar = int | Fraction
 
 
+def exact_scalar(value) -> Scalar:
+    """``value`` as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_quotient(a, b):
+    """a / b exactly, for a scalar or Poly ``a``.
+
+    Integer division goes through divmod, so an int quotient stays an int
+    and a Fraction is built only on a nonzero remainder.
+    """
+    if isinstance(a, Poly):
+        return a.exact_div(b)
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact_scalar(Fraction(a) / b)
+
+
+def _clean(terms: dict) -> dict:
+    """Accumulated terms with zeros dropped and integral values as int."""
+    return {e: exact_scalar(c) for e, c in terms.items() if c}
+
+
+def _build(variables: tuple, terms: dict) -> "Poly":
+    """A Poly from accumulated terms, skipping the exponent validation."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "terms", _clean(terms))
+    return p
+
+
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with int or Fraction coefficients.
 
     Arithmetic requires both operands to share the same variable tuple;
     plain ints and Fractions coerce to constant polynomials.
@@ -27,19 +66,15 @@ class Poly:
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, Scalar] | None = None):
         variables = tuple(variables)
         width = len(variables)
-        clean: dict[tuple, Fraction] = {}
+        acc: dict[tuple, Scalar] = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(expo)
                 if len(expo) != width or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent {expo} for variables {variables}")
-                c = clean.get(expo, Fraction(0)) + Fraction(coeff)
-                if c:
-                    clean[expo] = c
-                elif expo in clean:
-                    del clean[expo]
+                acc[expo] = acc.get(expo, 0) + exact_scalar(coeff)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _clean(acc))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -84,14 +119,14 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def constant(self) -> Fraction:
+    def constant(self) -> Scalar:
         """Coefficient of the constant monomial."""
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return self.terms.get((0,) * len(self.variables), 0)
 
-    def coefficient(self, **exponents: int) -> Fraction:
+    def coefficient(self, **exponents: int) -> Scalar:
         """Coefficient of the monomial with the given exponents (others 0)."""
         expo = tuple(exponents.get(v, 0) for v in self.variables)
-        return self.terms.get(expo, Fraction(0))
+        return self.terms.get(expo, 0)
 
     def degree(self, name: str | None = None) -> int:
         """Total degree, or the degree in one variable; zero poly has -1."""
@@ -110,17 +145,13 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for expo, c in other.terms.items():
-            s = out.get(expo, Fraction(0)) + c
-            if s:
-                out[expo] = s
-            elif expo in out:
-                del out[expo]
-        return Poly(self.variables, out)
+            out[expo] = out.get(expo, 0) + c
+        return _build(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _build(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -136,22 +167,17 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly(self.variables)
-            return Poly(self.variables, {e: c * other for e, c in self.terms.items()})
+            return _build(self.variables, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Scalar] = {}
+        get = out.get
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Poly(self.variables, out)
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
+        return _build(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -179,22 +205,18 @@ class Poly:
 
     def substitute(self, **values: Scalar) -> "Poly":
         """Substitute rationals for some variables, keeping the rest."""
+        values = {v: exact_scalar(val) for v, val in values.items()}
         keep = tuple(v for v in self.variables if v not in values)
         idx = [self.variables.index(v) for v in keep]
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Scalar] = {}
         for expo, c in self.terms.items():
-            factor = Fraction(c)
             for v, val in values.items():
-                factor *= Fraction(val) ** expo[self.variables.index(v)]
+                c *= val ** expo[self.variables.index(v)]
             e = tuple(expo[i] for i in idx)
-            s = out.get(e, Fraction(0)) + factor
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Poly(keep, out)
+            out[e] = out.get(e, 0) + c
+        return _build(keep, out)
 
-    def evaluate(self, **values: Scalar) -> Fraction:
+    def evaluate(self, **values: Scalar) -> Scalar:
         """Evaluate at a full assignment of the variables."""
         missing = [v for v in self.variables if v not in values]
         if missing:
@@ -206,7 +228,8 @@ class Poly:
         if isinstance(divisor, (int, Fraction)):
             if not divisor:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(divisor))
+            return _build(self.variables,
+                          {e: exact_quotient(c, divisor) for e, c in self.terms.items()})
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -216,22 +239,22 @@ class Poly:
         lead_d = max(divisor.terms)
         lc_d = divisor.terms[lead_d]
         rem = dict(self.terms)
-        quo: dict[tuple, Fraction] = {}
+        quo: dict[tuple, Scalar] = {}
         while rem:
             lead_r = max(rem)
-            diff = tuple(a - b for a, b in zip(lead_r, lead_d))
+            diff = tuple(map(sub, lead_r, lead_d))
             if any(d < 0 for d in diff):
                 raise DivisibilityFailure(f"{self} is not divisible by {divisor}")
-            c = rem[lead_r] / lc_d
-            quo[diff] = quo.get(diff, Fraction(0)) + c
+            c = exact_quotient(rem[lead_r], lc_d)
+            quo[diff] = quo.get(diff, 0) + c
             for eb, cb in divisor.terms.items():
-                e = tuple(x + y for x, y in zip(diff, eb))
-                s = rem.get(e, Fraction(0)) - c * cb
+                e = tuple(map(add, diff, eb))
+                s = rem.get(e, 0) - c * cb
                 if s:
                     rem[e] = s
                 elif e in rem:
                     del rem[e]
-        return Poly(self.variables, quo)
+        return _build(self.variables, quo)
 
     # -- display -----------------------------------------------------------
 

@@ -2,6 +2,8 @@ import json
 import math
 import sys
 
+import pytest
+
 from shapeforge.cli import main
 
 
@@ -204,6 +206,34 @@ def test_count_refuses_sizes_above_its_guard(capsys):
     code, out, err = run(capsys, "count", "motzkin", "--n", "10000")
     assert (code, err) == (0, "")
     assert len(out) > 4000
+
+
+@pytest.mark.parametrize("family, flag, size", [
+    ("catalan", "--n", -1),
+    ("motzkin", "--n", -1),
+    ("motzkin-coeff", "--n", -1),
+    ("narayana", "--n", 0),
+    ("convolution", "--n", 0),
+    ("level0", "--n", -1),
+    ("islands", "--ell", 0),
+])
+def test_count_refuses_sizes_below_the_family_minimum(capsys, family, flag, size):
+    code, out, err = run(capsys, "count", family, flag, str(size))
+    assert (code, out) == (1, "")
+    assert "ValueError" in err
+    code, out, err = run(capsys, "count", family, flag, str(size + 1))
+    assert (code, err) == (0, "")
+    assert len(out.strip().splitlines()) >= (1 if family in ("catalan", "motzkin") else 2)
+
+
+def test_verify_refuses_bounds_above_its_guard(capsys):
+    code, out, err = run(capsys, "verify", "chu_vandermonde", "--n", "31")
+    assert (code, out) == (1, "")
+    assert "ResourceGuardExceeded" in err
+    # verify all refuses before any identity runs, so nothing is printed
+    code, out, err = run(capsys, "verify", "all", "--order", "19")
+    assert (code, out) == (1, "")
+    assert "island_gf_forms_agree" in err
 
 
 def test_domain_error_is_one_line_naming_invariant(capsys):

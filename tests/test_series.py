@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shapeforge.series as series_module
 from oracles import motzkin_paths, step_counts
 from shapeforge import (
     IDENTITY_NAMES,
+    ISLAND_GF_FORMS,
     Poly,
     TruncatedSeries,
     compatible_counts,
@@ -68,8 +70,14 @@ def test_sqrt_inverts_squaring(tail):
 
 
 def test_sqrt_self_check_raises(monkeypatch):
-    # a broken Newton step must be caught by a check that python -O keeps
-    monkeypatch.setattr(TruncatedSeries, "inverse", lambda self: self)
+    # a broken recurrence step (the halving of 4^n a_n - sum Y_k Y_{n-k})
+    # must be caught by a check that python -O keeps
+    exact_quotient = series_module.exact_quotient
+
+    def off_by_one_halving(a, b):
+        return exact_quotient(a, b) + (1 if b == 2 else 0)
+
+    monkeypatch.setattr(series_module, "exact_quotient", off_by_one_halving)
     s = TruncatedSeries("w", [Fraction(1), Fraction(-4)], 6)
     with pytest.raises(SelfCheckFailure):
         s.sqrt()
@@ -207,6 +215,37 @@ def test_motzkin_self_convolution(counts):
         conv = msq.coefficient(n - 1)
         assert conv == counts.level0_weighted_sum(n)
         assert conv == sum(r0 * counts.level0_total(r0, n) for r0 in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# exact coefficient types
+
+
+def _scalars(series):
+    for c in series.coeffs:
+        yield from c.terms.values() if isinstance(c, Poly) else (c,)
+
+
+def test_coefficients_are_int_or_fraction_never_float(counts):
+    poly_valued = [expand_island_gf(10, form, counts) for form in ISLAND_GF_FORMS] + [
+        expand_motzkin_gf(20),
+        expand_level0_gf(20, counts),
+    ]
+    for series in poly_valued:
+        for c in _scalars(series):
+            # integral coefficients are stored as int, the rest as Fraction
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    scalar_valued = [
+        expand_motzkin_gf(20, with_v=False),
+        expand_level0_gf(20, counts, t=Fraction(3, 7)),
+        expand_level0_gf(20, counts, t=2),
+    ]
+    for series in scalar_valued:
+        assert all(type(c) in (int, Fraction) for c in series.coeffs)
+    assert all(type(c) is int for c in scalar_valued[0].coeffs + scalar_valued[2].coeffs)
+    half = (Poly.var(("x", "y"), "x") + 1).exact_div(2)
+    assert half.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in half.terms.values())
 
 
 # ---------------------------------------------------------------------------
