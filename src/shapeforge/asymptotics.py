@@ -259,11 +259,18 @@ ASYM_TARGETS = (
 
 @dataclass(frozen=True)
 class AsymptoticReport:
+    """An exact count, its leading asymptotic and their ratio.
+
+    ``asymptotic`` is inf beyond the float range; ``log_asymptotic``, its
+    natural logarithm, is finite at every size.
+    """
+
     target: str
     params: dict
     exact: int
     asymptotic: float
     ratio: float
+    log_asymptotic: float
 
 
 def _exp(logv: float) -> float:
@@ -329,7 +336,7 @@ def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
 
     asym = _exp(log_asym)
     ratio = _exp(math.log(exact) - log_asym) if exact > 0 else 0.0
-    return AsymptoticReport(target, params, exact, asym, ratio)
+    return AsymptoticReport(target, params, exact, asym, ratio, log_asym)
 
 
 # ---------------------------------------------------------------------------

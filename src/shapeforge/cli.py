@@ -2,7 +2,9 @@
 
 Output is byte-deterministic for identical inputs: fixed field order, CSV
 headers always emitted, floats printed with 12 significant digits, and JSON
-documents carry a top-level schema tag "shapeforge/1".  Domain errors exit
+documents carry a top-level schema tag "shapeforge/1" and never NaN or an
+infinity.  An asymptotic past the float range prints in the same style, as
+a decimal mantissa and exponent (a string in JSON).  Domain errors exit
 with status 1 and a one-line diagnostic naming the violated invariant;
 usage errors exit with status 2.  Integers print in full at any length.
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -57,6 +60,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _fmt_exp(log_value: float) -> str:
+    """exp(log_value) as _fmt prints a float, for values past the float
+    range: a decimal mantissa and exponent, taken from the logarithm."""
+    log10 = log_value / math.log(10)
+    exponent = math.floor(log10)
+    mantissa = float(format(10 ** (log10 - exponent), ".12g"))
+    if mantissa >= 10:  # rounded up to the next power of ten
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{_fmt(mantissa)}e+{exponent}"
+
+
+def _print_json(doc: dict) -> None:
+    # NaN and infinities are not JSON; refuse them rather than print them
+    print(json.dumps(doc, allow_nan=False))
+
+
 def _emit_rows(args, header: list, rows: list, extra: dict | None = None) -> None:
     fmt = getattr(args, "format", "plain")
     if fmt == "json":
@@ -68,7 +87,7 @@ def _emit_rows(args, header: list, rows: list, extra: dict | None = None) -> Non
              for name, value in zip(header, row)}
             for row in rows
         ]
-        print(json.dumps(doc))
+        _print_json(doc)
     elif fmt == "csv":
         print(",".join(header))
         for row in rows:
@@ -89,7 +108,7 @@ def _emit_value(args, value, extra: dict | None = None) -> None:
         if extra:
             doc.update(extra)
         doc["value"] = value if not isinstance(value, float) else float(_fmt(value))
-        print(json.dumps(doc))
+        _print_json(doc)
     elif fmt == "csv":
         print("value")
         print(_fmt(value))
@@ -148,7 +167,7 @@ def _cmd_analyze(args) -> int:
             "stacks": [{"pair": list(p), "length": k} for p, k in report.stacks],
             "islands": [list(r) for r in report.islands],
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         _emit_rows(args, ["element", "count"], fields)
     return 0
@@ -240,14 +259,17 @@ def _cmd_verify(args) -> int:
         bound = args.bound
         if bound is None and name == "island_gf_forms_agree" and args.order is not None:
             bound = args.order
-        limit = _guard(IDENTITY_BOUNDS[name][1])
+        minimum, _, ceiling = IDENTITY_BOUNDS[name]
+        limit = _guard(ceiling)
+        if bound is not None and bound < minimum:
+            raise ValueError(f"verify {name}: bound {bound} is below {minimum}")
         if bound is not None and bound > limit:
             raise ResourceGuardExceeded(f"verify {name}: bound {bound} exceeds guard {limit}")
         bounds[name] = bound
     counts = ExactCounts()
     reports = [verify_identity(name, bound, counts) for name, bound in bounds.items()]
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "reports": [r.to_json() for r in reports]}))
+        _print_json({"schema": SCHEMA, "reports": [r.to_json() for r in reports]})
     else:
         for r in reports:
             status = "pass" if r.passed else f"FAIL at {r.counterexample}"
@@ -255,9 +277,19 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# largest --n and --r0-max of the level-0 distribution; both at once finish
+# within about a second of CPU and 20 MB on a 2-vCPU machine
+_LEVEL0_DISTRIBUTION_SIZE = 600
+
+
 def _cmd_distribution(args) -> int:
     if args.family == "level0":
         _require(args.n is not None, "level0 distribution needs --n")
+        limit = _guard(_LEVEL0_DISTRIBUTION_SIZE)
+        for flag, size in (("n", args.n), ("r0-max", args.r0_max)):
+            if size > limit:
+                raise ResourceGuardExceeded(
+                    f"distribution level0: --{flag} {size} exceeds guard {limit}")
         rows = convergence_report("level0", n=args.n, r0_max=args.r0_max)
         extra = {"family": "level0", "n": args.n}
     else:
@@ -284,7 +316,7 @@ def _cmd_asymptotics(args) -> int:
             "expected_r0": float(_fmt(asym_pi_expected(args.lam, sing))),
         }
         if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, **doc}))
+            _print_json({"schema": SCHEMA, **doc})
         else:
             for key, value in doc.items():
                 print(f"{key}: {_fmt(value)}")
@@ -308,17 +340,20 @@ def _cmd_asymptotics(args) -> int:
         r0=args.r0,
         limit=_guard(2000),
     )
+    asymptotic = report.asymptotic
+    if math.isinf(asymptotic):
+        asymptotic = _fmt_exp(report.log_asymptotic)
     doc = {
         "target": report.target,
         **report.params,
         "exact": report.exact,
-        "asymptotic": report.asymptotic,
+        "asymptotic": asymptotic,
         "ratio": report.ratio,
     }
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **{
+        _print_json({"schema": SCHEMA, **{
             k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in doc.items()
-        }}))
+        }})
     else:
         for key, value in doc.items():
             print(f"{key}: {_fmt(value)}")

@@ -208,8 +208,10 @@ def expand_island_gf(order: int = 24, form: str = "closed",
 
     Coefficients are polynomials in x (hairpins) and y (islands); the
     coefficient of x^h y^I z^ell equals island_count(h, I, ell).  Three
-    equivalent routes are provided: a direct Narayana sum, the closed form
-    with a series square root, and the 2-Motzkin step-weight sum.
+    equivalent routes are provided: a direct Narayana sum, the closed form,
+    and the 2-Motzkin step-weight sum.  The closed form is the root of a
+    quadratic in F, expanded by the coefficient recurrence of that
+    quadratic in integers, with no square root and no polynomial division.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -250,21 +252,33 @@ def expand_island_gf(order: int = 24, form: str = "closed",
             coeffs.append(start * acc)
         return TruncatedSeries("z", coeffs, order, zero)
 
-    # closed form: with A = z (1+y)^2 and B = x y / (1+y), the radicand
-    # 1 - 2A(1+B) + A^2 (1-B)^2 clears denominators to a polynomial in z
-    # whose coefficients are 1, -2(1+y)(1+y+xy), ((1+y)(1+y-xy))^2.
+    # closed form: F = (1 - c1 z - sqrt(1 - 2 c1 z + c2 z^2)) y / (2 (1+y)^3 z)
+    # with c1 = (1+y)(1+y+xy) and c2 = ((1+y)(1+y-xy))^2.  As
+    # c1^2 - c2 = 4 x y (1+y)^3, F solves F = z (x y^2 + c1 F + (1+y)^3 F^2 / y):
+    # F_1 = x y^2 and F_{n+1} = c1 F_n + (1+y)^3 sum_{0<i<n} F_i F_{n-i} / y.
+    # Every F_i has y^2 in each term, so the division by y is exact.
     c1 = oy * (oy + x * y)
-    c2 = (oy * (oy - x * y)) ** 2
-    radicand = TruncatedSeries("z", [one, -2 * c1, c2], order + 1, zero)
-    linear = TruncatedSeries("z", [one, -c1], order + 1, zero)
-    numerator = linear - radicand.sqrt()
-    shifted = numerator.shift_down(1)  # DivisibilityFailure if z^0 survives
-    divisor = 2 * oy ** 3
-    coeffs = [zero] + [
-        (y * shifted.coefficient(ell)).exact_div(divisor)
-        for ell in range(1, order + 1)
-    ]
+    cube = oy ** 3
+    coeffs = [zero, x * y * y][: order + 1]
+    for n in range(1, order):
+        half = zero
+        for i in range(1, (n + 1) // 2):
+            half = half + coeffs[i] * coeffs[n - i]
+        conv = 2 * half
+        if n % 2 == 0:
+            conv = conv + coeffs[n // 2] * coeffs[n // 2]
+        coeffs.append(c1 * coeffs[n] + cube * _divide_by_y(conv))
     return TruncatedSeries("z", coeffs, order, zero)
+
+
+def _divide_by_y(p: Poly) -> Poly:
+    """p / y for p in (x, y), as a shift of the y exponent."""
+    terms = {}
+    for (i, j), c in p.terms.items():
+        if not j:
+            raise DivisibilityFailure(f"{p} is not divisible by y")
+        terms[(i, j - 1)] = c
+    return Poly(p.variables, terms)
 
 
 def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
@@ -278,7 +292,9 @@ def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
 
     Passing a rational ``t`` makes the coefficients scalars (ints, or
     Fractions when t is not an integer), which allows much larger orders
-    than the polynomial guard.
+    than the polynomial guard.  For t = p/q the expansion runs in integers,
+    at t = p with the coefficient of w^n scaled by q^n, and divides each
+    coefficient by q^n once at the end.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -287,16 +303,20 @@ def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
         raise ResourceGuardExceeded(f"level0 gf order {order} exceeds guard {cap}")
     m1 = expand_motzkin_gf(order, with_v=False, counts=counts)
     a = TruncatedSeries("w", [1, 0] + [-c for c in m1.coeffs[: order - 1]], order).inverse()
-    # the same expression over the ring t lives in: Poly in t, or scalars
+    # the coefficient of w^n has degree <= n in t, so at t = p/q the series
+    # in q w with t = p is integral; its coefficient n is divided by q^n
     if t is None:
-        t = Poly.var(("t",), "t")
+        p, q = Poly.var(("t",), "t"), 1
         zero = Poly.zero(("t",))
     else:
-        t = exact_scalar(t)
+        p, q = exact_scalar(t).as_integer_ratio()
         zero = 0
-    a_t = a.map_coeffs(lambda c: zero + c, zero)
-    twa = TruncatedSeries("w", [zero] + [t * c for c in a.coeffs[:order]], order, zero)
-    return a_t * (TruncatedSeries("w", [zero + 1], order, zero) - twa).inverse()
+    q_pows = [q ** n for n in range(order + 1)]
+    a_q = [c * qn for c, qn in zip(a.coeffs, q_pows)]
+    a_t = TruncatedSeries("w", [zero + c for c in a_q], order, zero)
+    twa = TruncatedSeries("w", [zero] + [p * c for c in a_q[:order]], order, zero)
+    scaled = a_t * (TruncatedSeries("w", [zero + 1], order, zero) - twa).inverse()
+    return scaled._wrap([exact_quotient(c, qn) for c, qn in zip(scaled.coeffs, q_pows)])
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +477,18 @@ def _coker2_sides(n: int, counts: ExactCounts) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-# default and largest bound per identity; each ceiling finishes within
-# about a second of CPU and 45 MB on a 2-vCPU machine
+# smallest, default and largest bound per identity: the smallest is the
+# first that checks an instance, and each ceiling finishes within about a
+# second of CPU and 45 MB on a 2-vCPU machine
 IDENTITY_BOUNDS = {
-    "narayana_motzkin": (12, 28),
-    "coker1": (12, 60),
-    "coker2": (12, 36),
-    "touchard": (12, 550),
-    "chu_vandermonde": (6, 30),
-    "parity_m0m1": (30, 450),
-    "pi_parity": (50, 180),
-    "island_gf_forms_agree": (10, 18),
+    "narayana_motzkin": (1, 12, 28),
+    "coker1": (1, 12, 60),
+    "coker2": (1, 12, 36),
+    "touchard": (1, 12, 550),
+    "chu_vandermonde": (0, 6, 30),
+    "parity_m0m1": (1, 30, 450),
+    "pi_parity": (0, 50, 180),
+    "island_gf_forms_agree": (0, 10, 18),
 }
 
 IDENTITY_NAMES = tuple(IDENTITY_BOUNDS)
@@ -482,8 +503,11 @@ def verify_identity(name: str, bound: int | None = None,
     """
     if name not in IDENTITY_NAMES:
         raise UnknownIdentity(f"unknown identity {name!r}; known: {IDENTITY_NAMES}")
+    minimum, default, _ = IDENTITY_BOUNDS[name]
+    bound = default if bound is None else bound
+    if bound < minimum:
+        raise ValueError(f"verify {name}: bound {bound} is below {minimum}")
     counts = counts or ExactCounts()
-    bound = bound if bound is not None else IDENTITY_BOUNDS[name][0]
     instances: list[tuple[str, bool]] = []
 
     if name == "narayana_motzkin":

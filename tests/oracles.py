@@ -2,10 +2,15 @@
 
 These deliberately re-derive everything from first principles (recursive
 enumeration, direct counting on step strings) so the closed formulas and
-generating functions are checked against a second route.
+generating functions are checked against a second route.  The one
+exception is island_gf_by_sqrt, which solves the island GF's quadratic by
+the package's series square root, so that the two-variable sqrt path stays
+checked against the recurrence the package uses.
 """
 
 from collections import Counter
+
+from shapeforge import Poly, TruncatedSeries
 
 
 def pascal_binomial(n, k):
@@ -92,3 +97,26 @@ def hairpin_count(bracket_string):
 
 def count_by(iterable, key):
     return Counter(key(x) for x in iterable)
+
+
+def island_gf_by_sqrt(order):
+    """The island GF in z to the given order as the root of its quadratic:
+    (1 - c1 z - sqrt(1 - 2 c1 z + c2 z^2)) y / (2 (1+y)^3 z), with
+    c1 = (1+y)(1+y+xy) and c2 = ((1+y)(1+y-xy))^2, dividing each
+    coefficient exactly by 2 (1+y)^3."""
+    variables = ("x", "y")
+    zero = Poly.zero(variables)
+    one = Poly.one(variables)
+    x = Poly.var(variables, "x")
+    y = Poly.var(variables, "y")
+    oy = one + y
+    c1 = oy * (oy + x * y)
+    c2 = (oy * (oy - x * y)) ** 2
+    radicand = TruncatedSeries("z", [one, -2 * c1, c2], order + 1, zero)
+    linear = TruncatedSeries("z", [one, -c1], order + 1, zero)
+    shifted = (linear - radicand.sqrt()).shift_down(1)
+    divisor = 2 * oy ** 3
+    coeffs = [zero] + [
+        (y * shifted.coefficient(ell)).exact_div(divisor) for ell in range(1, order + 1)
+    ]
+    return TruncatedSeries("z", coeffs, order, zero)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from shapeforge.cli import main
+from shapeforge.series import IDENTITY_BOUNDS
 
 
 def run(capsys, *argv):
@@ -234,6 +235,47 @@ def test_verify_refuses_bounds_above_its_guard(capsys):
     code, out, err = run(capsys, "verify", "all", "--order", "19")
     assert (code, out) == (1, "")
     assert "island_gf_forms_agree" in err
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_BOUNDS))
+def test_verify_refuses_bounds_below_the_identity_minimum(capsys, name):
+    minimum = IDENTITY_BOUNDS[name][0]
+    code, out, err = run(capsys, "verify", name, "--n", str(minimum - 1))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "ValueError" in err and name in err
+    code, out, err = run(capsys, "verify", name, "--n", str(minimum))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{name}: pass")
+
+
+def test_asymptotic_beyond_float_range_prints_mantissa_and_exponent(capsys):
+    argv = ("asymptotics", "--target", "motzkin_number", "--n", "10000")
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "asymptotic: 2.39124539506e+4765\n" in plain
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, doc, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        parsed = json.loads(doc, parse_constant=refuse)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parsed["asymptotic"] == "2.39124539506e+4765"
+    assert 0.99 < parsed["ratio"] < 1.01
+
+
+def test_distribution_level0_refuses_sizes_above_its_guard(capsys):
+    code, out, err = run(capsys, "distribution", "level0", "--n", "601", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "ResourceGuardExceeded" in err
+    code, out, err = run(capsys, "distribution", "level0", "--n", "110", "--r0-max", "601")
+    assert (code, out) == (1, "")
+    assert "ResourceGuardExceeded" in err
 
 
 def test_domain_error_is_one_line_naming_invariant(capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shapeforge.poly as poly_module
 import shapeforge.series as series_module
-from oracles import motzkin_paths, step_counts
+from oracles import island_gf_by_sqrt, motzkin_paths, step_counts
 from shapeforge import (
     IDENTITY_NAMES,
     ISLAND_GF_FORMS,
@@ -19,6 +20,7 @@ from shapeforge import (
     verify_identity,
 )
 from shapeforge.errors import (
+    DivisibilityFailure,
     NonUnitConstantTerm,
     ResourceGuardExceeded,
     SelfCheckFailure,
@@ -159,6 +161,36 @@ def test_island_gf_matches_island_count(counts):
                 assert poly.coefficient(x=h, y=islands) == counts.island_count(h, islands, ell)
 
 
+def test_island_gf_closed_form_matches_the_sqrt_of_its_quadratic():
+    for order in range(13):
+        assert expand_island_gf(order, "closed") == island_gf_by_sqrt(order), order
+
+
+def test_island_gf_closed_form_needs_no_sqrt_division_or_fraction(monkeypatch):
+    expected = island_gf_by_sqrt(12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form must not get here")
+
+    class NoFraction(Fraction):
+        __new__ = refuse
+
+    monkeypatch.setattr(TruncatedSeries, "sqrt", refuse)
+    monkeypatch.setattr(Poly, "exact_div", refuse)
+    monkeypatch.setattr(poly_module, "Fraction", NoFraction)
+    g = expand_island_gf(12, "closed")
+    assert g == expected
+    assert all(type(c) is int for c in _scalars(g))
+
+
+def test_island_gf_recurrence_refuses_a_term_free_of_y():
+    x = Poly.var(("x", "y"), "x")
+    y = Poly.var(("x", "y"), "y")
+    assert series_module._divide_by_y(x * y * y + y) == x * y + 1
+    with pytest.raises(DivisibilityFailure):
+        series_module._divide_by_y(x * y + x)
+
+
 def test_island_gf_guard():
     with pytest.raises(ResourceGuardExceeded):
         expand_island_gf(25)
@@ -204,6 +236,15 @@ def test_level0_gf_numeric_t(counts):
     assert big.coefficient(250) == counts.motzkin_number(250)
     with pytest.raises(ResourceGuardExceeded):
         expand_level0_gf(250, counts)
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 7), Fraction(-5, 3), Fraction(4, 2), 1 / 1])
+def test_level0_gf_at_rational_t_is_the_polynomial_evaluated(t, counts):
+    order = 40
+    poly_t = expand_level0_gf(order, counts)
+    numeric = expand_level0_gf(order, counts, t=t)
+    for n in range(order + 1):
+        assert numeric.coefficient(n) == poly_t.coefficient(n).evaluate(t=t), n
 
 
 def test_motzkin_self_convolution(counts):
