@@ -132,6 +132,15 @@ def _guard(default: int) -> int:
     return default
 
 
+def _check_size(command: str, flag: str, size: int, minimum: int, default_limit: int) -> None:
+    """Refuse a size below minimum or above the guard of default_limit."""
+    if size < minimum:
+        raise ValueError(f"{command}: --{flag} {size} is below {minimum}")
+    limit = _guard(default_limit)
+    if size > limit:
+        raise ResourceGuardExceeded(f"{command}: --{flag} {size} exceeds guard {limit}")
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -219,12 +228,7 @@ def _cmd_count(args) -> int:
     flag = "ell" if family == "islands" else "n"
     size = getattr(args, flag)
     _require(size is not None, f"{family} needs --{flag}")
-    minimum, default_limit = _COUNT_SIZES[family]
-    if size < minimum:
-        raise ValueError(f"count {family}: --{flag} {size} is below {minimum}")
-    limit = _guard(default_limit)
-    if size > limit:
-        raise ResourceGuardExceeded(f"count {family}: --{flag} {size} exceeds guard {limit}")
+    _check_size(f"count {family}", flag, size, *_COUNT_SIZES[family])
     if family == "catalan":
         _emit_value(args, counts.catalan(size))
     elif family == "motzkin":
@@ -285,16 +289,14 @@ _LEVEL0_DISTRIBUTION_SIZE = 600
 def _cmd_distribution(args) -> int:
     if args.family == "level0":
         _require(args.n is not None, "level0 distribution needs --n")
-        limit = _guard(_LEVEL0_DISTRIBUTION_SIZE)
         for flag, size in (("n", args.n), ("r0-max", args.r0_max)):
-            if size > limit:
-                raise ResourceGuardExceeded(
-                    f"distribution level0: --{flag} {size} exceeds guard {limit}")
+            _check_size("distribution level0", flag, size, 0, _LEVEL0_DISTRIBUTION_SIZE)
         rows = convergence_report("level0", n=args.n, r0_max=args.r0_max)
         extra = {"family": "level0", "n": args.n}
     else:
         _require(args.lam is not None and args.nu is not None,
                  "pi distribution needs --lambda and --nu")
+        _check_size("distribution pi", "r0-max", args.r0_max, 0, 2000)
         rows = convergence_report("pi", lam=args.lam, nu=args.nu,
                                   r0_max=args.r0_max, limit=_guard(2000))
         extra = {"family": "pi", "lambda": args.lam, "nu": args.nu}
@@ -361,6 +363,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_compatible(args) -> int:
+    if args.r0_max is not None:
+        _check_size("compatible", "r0-max", args.r0_max, 0, 2000)
     table = compatible_counts(args.lam, args.nu, limit=_guard(2000))
     r0_max = args.r0_max if args.r0_max is not None else table.r0_max
     rows = [(r0, table.count(r0, args.nu)) for r0 in range(r0_max + 1)]

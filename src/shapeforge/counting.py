@@ -8,33 +8,25 @@ zero convention so that the summation formulas guard themselves.
 from __future__ import annotations
 
 import math
-import threading
 
 from .errors import DivisibilityFailure
 
 
+def _motzkin_pair(n: int) -> tuple[int, int]:
+    """(M_n, M_{n+1}) from the P-recurrence
+    (k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2}, kept in two registers."""
+    prev, cur = 1, 1  # M_0, M_1
+    for k in range(2, n + 2):
+        prev, cur = cur, ((2 * k + 1) * cur + 3 * (k - 1) * prev) // (k + 2)
+    return prev, cur
+
+
 class ExactCounts:
-    """Counting functions, most of them memoized in a per-instance cache.
+    """Counting functions, each returning its closed form directly.
 
-    Each instance owns a single cache dict guarded by a re-entrant lock, so
-    an instance may be shared between threads; results never depend on cache
-    state.  Create separate instances for isolated cache lifetimes.
-    level0_count and the fib_poly_coeff binomial it calls are not cached:
-    the compatible-shape tables visit each of their values once, so caching
-    them only adds a lookup.
+    The class is stateless: there is no cache, so results never depend on
+    call history and one instance may be shared freely between threads.
     """
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._cache: dict = {}
-
-    def _memo(self, key, compute):
-        with self._lock:
-            try:
-                return self._cache[key]
-            except KeyError:
-                value = self._cache[key] = compute()
-                return value
 
     # -- binomial-family basics ---------------------------------------------
 
@@ -44,13 +36,13 @@ class ExactCounts:
             raise ValueError(f"binomial: n must be nonnegative, got {n}")
         if k < 0 or k > n:
             return 0
-        return self._memo(("binom", n, k), lambda: math.comb(n, k))
+        return math.comb(n, k)
 
     def catalan(self, k: int) -> int:
         """Number of Dyck paths with k up steps: C(2k, k) / (k + 1)."""
         if k < 0:
             raise ValueError(f"catalan: k must be nonnegative, got {k}")
-        return self._memo(("catalan", k), lambda: math.comb(2 * k, k) // (k + 1))
+        return math.comb(2 * k, k) // (k + 1)
 
     def narayana(self, n: int, k: int) -> int:
         """Matched strings of n bracket pairs with k occurrences of "()".
@@ -61,10 +53,7 @@ class ExactCounts:
             raise ValueError(f"narayana: n must be positive, got {n}")
         if k < 1 or k > n:
             return 0
-        return self._memo(
-            ("narayana", n, k),
-            lambda: math.comb(n, k) * math.comb(n, k - 1) // n,
-        )
+        return math.comb(n, k) * math.comb(n, k - 1) // n
 
     def catalan_convolution(self, u: int, p: int) -> int:
         """Dyck paths of u up steps with exactly p irreducible factors.
@@ -75,10 +64,7 @@ class ExactCounts:
             raise ValueError(f"catalan_convolution: u must be positive, got {u}")
         if p < 1 or p > u:
             return 0
-        return self._memo(
-            ("conv", u, p),
-            lambda: p * math.comb(2 * u - p - 1, u - 1) // u,
-        )
+        return p * math.comb(2 * u - p - 1, u - 1) // u
 
     def fib_poly_coeff(self, a: int, b: int) -> int:
         """C(a - b - 1, b) under the zero-outside-range convention."""
@@ -95,21 +81,14 @@ class ExactCounts:
             raise ValueError(f"motzkin_poly_coeff: n must be nonnegative, got {n}")
         if k < 0 or 2 * k > n:
             return 0
-        return self._memo(
-            ("motz", n, k),
-            lambda: math.comb(n, 2 * k) * self.catalan(k),
-        )
+        return math.comb(n, 2 * k) * self.catalan(k)
 
     def motzkin_number(self, n: int) -> int:
         """Number of Motzkin paths of size n, from the P-recurrence
         (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}."""
         if n < 0:
             raise ValueError(f"motzkin_number: n must be nonnegative, got {n}")
-        with self._lock:
-            m = self._cache.setdefault("motznum", [1, 1])
-            for k in range(len(m), n + 1):
-                m.append(((2 * k + 1) * m[k - 1] + 3 * (k - 1) * m[k - 2]) // (k + 2))
-            return m[n]
+        return _motzkin_pair(n)[0]
 
     # -- level-0 horizontal-step refinements ---------------------------------
 
@@ -128,64 +107,42 @@ class ExactCounts:
             raise DivisibilityFailure(f"level0_count({r0},{n},{u}): non-integral value")
         return q
 
-    def level0_count_sumform(self, r0: int, n: int, u: int) -> int:
-        """Same count as level0_count, built from the convolution formula.
-
-        Sums C(r0+p, r0) C(n-r0-p-1, n-2u-r0) C(u; p) over the number p of
-        irreducible Dyck factors; kept separate as a cross-check route.
-        """
-        if u < 1:
-            raise ValueError(f"level0_count_sumform: u must be positive, got {u}")
-        if r0 < 0 or n < 0:
-            raise ValueError("level0_count_sumform: r0 and n must be nonnegative")
-
-        def compute():
-            total = 0
-            for p in range(1, u + 1):
-                top = n - r0 - p - 1
-                if top < 0:
-                    continue
-                total += (
-                    self.binomial(r0 + p, r0)
-                    * self.binomial(top, n - 2 * u - r0)
-                    * self.catalan_convolution(u, p)
-                )
-            return total
-
-        return self._memo(("lvl0sum", r0, n, u), compute)
-
     def level0_total(self, r0: int, n: int) -> int:
-        """Motzkin paths of size n with r0 horizontals at level 0."""
+        """Motzkin paths of size n with r0 horizontals at level 0.
+
+        Sums the level0_count terms T(u), u = 1..s//2 with s = n - r0, by
+        their ratio: T(1) = r0 + 1 and
+        T(u+1) = T(u) (n+1-u)(s-2u)(s-2u-1) / ((u+1) u (s-u-1)).
+        """
         if r0 < 0 or n < 0:
             raise ValueError("level0_total: r0 and n must be nonnegative")
         if r0 > n:
             raise ValueError(f"level0_total: r0 = {r0} exceeds n = {n}")
-        if r0 == n:
+        s = n - r0
+        if s == 0:
             return 1  # the all-horizontal path (empty path when n = 0)
-        return self._memo(
-            ("lvl0tot", r0, n),
-            lambda: sum(
-                self.level0_count(r0, n, u) for u in range(1, (n - r0) // 2 + 1)
-            ),
-        )
+        if s == 1:
+            return 0
+        term = total = r0 + 1
+        for u in range(1, s // 2):
+            term, rem = divmod(term * (n + 1 - u) * (s - 2 * u) * (s - 2 * u - 1),
+                               (u + 1) * u * (s - u - 1))
+            if rem:
+                raise DivisibilityFailure(
+                    f"level0_total({r0},{n}): non-integral term at u = {u + 1}")
+            total += term
+        return total
 
     def level0_weighted_sum(self, n: int) -> int:
         """Sum of r0 over all Motzkin paths of size n.
 
-        Equals the Motzkin self-convolution sum_{i+j=n-1} M_i M_j, which
-        avoids summing r0 * level0_total over r0 at large n.
+        Equals the Motzkin self-convolution sum_{i+j=n-1} M_i M_j, which is
+        M_{n+1} - M_n because M = 1 + wM + w^2 M^2.
         """
         if n < 0:
             raise ValueError(f"level0_weighted_sum: n must be nonnegative, got {n}")
-        if n == 0:
-            return 0
-        return self._memo(
-            ("lvl0w", n),
-            lambda: sum(
-                self.motzkin_number(i) * self.motzkin_number(n - 1 - i)
-                for i in range(n)
-            ),
-        )
+        m_n, m_next = _motzkin_pair(n)
+        return m_next - m_n
 
     # -- island diagrams ------------------------------------------------------
 
@@ -202,8 +159,4 @@ class ExactCounts:
             raise ValueError(f"island_count: h must be positive, got {h}")
         if ell < 1:
             raise ValueError(f"island_count: ell must be positive, got {ell}")
-        return self._memo(
-            ("island", h, islands, ell),
-            lambda: self.narayana(ell, h)
-            * self.binomial(2 * ell - 1 - h, islands - h - 1),
-        )
+        return self.narayana(ell, h) * self.binomial(2 * ell - 1 - h, islands - h - 1)

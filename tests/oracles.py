@@ -2,12 +2,15 @@
 
 These deliberately re-derive everything from first principles (recursive
 enumeration, direct counting on step strings) so the closed formulas and
-generating functions are checked against a second route.  The one
-exception is island_gf_by_sqrt, which solves the island GF's quadratic by
-the package's series square root, so that the two-variable sqrt path stays
-checked against the recurrence the package uses.
+generating functions are checked against a second route.  Two oracles
+are formulas instead: level0_count_sumform sums the level-0 convolution
+formula, a second closed route to the package's level0_count, and
+island_gf_by_sqrt solves the island GF's quadratic by the package's series
+square root, so that the two-variable sqrt path stays checked against the
+recurrence the package uses.
 """
 
+import math
 from collections import Counter
 
 from shapeforge import Poly, TruncatedSeries
@@ -21,6 +24,27 @@ def pascal_binomial(n, k):
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def level0_count_sumform(r0, n, u):
+    """Motzkin paths of size n, u up steps, r0 horizontals at level 0, from
+    the convolution formula: the sum over the number p of irreducible Dyck
+    factors of C(r0+p, r0) C(n-r0-p-1, n-2u-r0) C(u; p), with the Catalan
+    convolution C(u; p) = (p/u) C(2u-p-1, u-1)."""
+    def binomial(top, k):
+        return math.comb(top, k) if 0 <= k <= top else 0
+
+    total = 0
+    for p in range(1, u + 1):
+        top = n - r0 - p - 1
+        if top < 0:
+            continue
+        total += (
+            binomial(r0 + p, r0)
+            * binomial(top, n - 2 * u - r0)
+            * (p * binomial(2 * u - p - 1, u - 1) // u)
+        )
+    return total
 
 
 def dyck_paths(u):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import count_by, motzkin_paths, step_counts
+from oracles import count_by, level0_count_sumform, motzkin_paths, step_counts
 from shapeforge import (
     ExactCounts,
     PathKind,
@@ -125,7 +125,7 @@ def test_criterion_5_level0_cross_check(counts):
                 exhaustive_total = 0
                 for u in range(1, n // 2 + 1):
                     closed = counts.level0_count(r0, n, u)
-                    assert closed == counts.level0_count_sumform(r0, n, u)
+                    assert closed == level0_count_sumform(r0, n, u)
                     assert closed == by_class.get((u, r0), 0)
                     exhaustive_total += closed
                 if r0 == n:

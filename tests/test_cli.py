@@ -278,6 +278,28 @@ def test_distribution_level0_refuses_sizes_above_its_guard(capsys):
     assert "ResourceGuardExceeded" in err
 
 
+_COMPATIBLE = ("compatible", "--lambda", "4", "--nu", "30")
+_PI = ("distribution", "pi", "--lambda", "4", "--nu", "30", "--format", "json")
+_LEVEL0 = ("distribution", "level0", "--n", "20", "--format", "csv")
+
+
+@pytest.mark.parametrize("argv, r0_max, error", [
+    pytest.param(_COMPATIBLE, "-2", "ValueError", id="compatible-negative"),
+    pytest.param(_PI, "-1", "ValueError", id="pi-negative"),
+    pytest.param(_LEVEL0, "-1", "ValueError", id="level0-negative"),
+    pytest.param(_COMPATIBLE, "2001", "ResourceGuardExceeded", id="compatible-above-guard"),
+    pytest.param(_PI, "2001", "ResourceGuardExceeded", id="pi-above-guard"),
+])
+def test_r0_max_is_refused_outside_zero_to_its_guard(capsys, monkeypatch, argv, r0_max, error):
+    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+    code, out, err = run(capsys, *argv, "--r0-max", r0_max)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {error}") and "--r0-max" in err
+    inside = "0" if r0_max.startswith("-") else "2000"
+    code, out, err = run(capsys, *argv, "--r0-max", inside)
+    assert (code, err) == (0, "")
+
+
 def test_domain_error_is_one_line_naming_invariant(capsys):
     code, out, err = run(capsys, "bijection", "decode1", "--in", "[[]]")
     assert code == 1

@@ -1,4 +1,6 @@
+import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import (
     dyck_paths,
     hairpin_count,
     irreducible_factors,
+    level0_count_sumform,
     motzkin_paths,
     pascal_binomial,
     step_counts,
@@ -133,7 +136,7 @@ def test_level0_sumform_matches_closed_form(counts):
     for n in range(15):
         for r0 in range(n + 1):
             for u in range(1, n // 2 + 1):
-                assert counts.level0_count(r0, n, u) == counts.level0_count_sumform(r0, n, u)
+                assert counts.level0_count(r0, n, u) == level0_count_sumform(r0, n, u)
 
 
 def test_level0_total_examples(counts):
@@ -221,20 +224,57 @@ def test_huge_values_stay_exact():
     assert c.catalan(2000) == c.binomial(4000, 2000) // 2001
 
 
-def test_caches_are_per_instance_and_threadsafe():
-    a, b = ExactCounts(), ExactCounts()
-    assert a.motzkin_number(30) == b.motzkin_number(30)
-    assert a._cache is not b._cache
+def test_shared_instance_agrees_with_serial_run_across_threads():
+    shared = ExactCounts()
 
+    def compute():
+        return (
+            [shared.motzkin_number(n) for n in range(40)],
+            [shared.level0_total(r0, 60) for r0 in range(61)],
+        )
+
+    serial = compute()
     results = []
+    threads = [threading.Thread(target=lambda: results.append(compute())) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
 
-    def worker():
-        local = [a.motzkin_number(n) for n in range(40)]
-        results.append(local)
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
+def test_level0_total_ratio_sum_matches_closed_form_terms(counts):
+    def by_terms(r0, n):
+        if r0 == n:
+            return 1
+        return sum(counts.level0_count(r0, n, u) for u in range(1, (n - r0) // 2 + 1))
+
+    for n in range(121):
+        for r0 in range(n + 1):
+            assert counts.level0_total(r0, n) == by_terms(r0, n), (r0, n)
+    for r0 in range(9):
+        assert counts.level0_total(r0, 2000) == by_terms(r0, 2000)
+
+
+def test_level0_weighted_sum_matches_motzkin_self_convolution(counts):
+    motzkin = [counts.motzkin_number(i) for i in range(400)]
+    for n in range(401):
+        convolution = sum(motzkin[i] * motzkin[n - 1 - i] for i in range(n))
+        assert counts.level0_weighted_sum(n) == convolution, n
+
+
+def test_motzkin_number_traced_peak_stays_under_a_megabyte():
+    counts = ExactCounts()
+    tracemalloc.start()
+    try:
+        counts.motzkin_number(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
