@@ -334,6 +334,9 @@ def _cmd_asymptotics(args) -> int:
     for field in needs[args.target]:
         flag = "--lambda" if field == "lam" else f"--{field}"
         _require(getattr(args, field) is not None, f"{args.target} needs {flag}")
+    if "n" in needs[args.target]:
+        # the exact counts behind these targets cost what `count motzkin` does
+        _check_size(f"asymptotics {args.target}", "n", args.n, 1, _COUNT_SIZES["motzkin"][1])
     report = asym_count(
         args.target,
         n=args.n,

@@ -8,17 +8,29 @@ zero convention so that the summation formulas guard themselves.
 from __future__ import annotations
 
 import math
+from itertools import count, islice
+from typing import Iterator
 
 from .errors import DivisibilityFailure
 
 
-def _motzkin_pair(n: int) -> tuple[int, int]:
-    """(M_n, M_{n+1}) from the P-recurrence
+def _motzkin_numbers() -> Iterator[int]:
+    """M_0, M_1, M_2, ... from the P-recurrence
     (k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2}, kept in two registers."""
     prev, cur = 1, 1  # M_0, M_1
-    for k in range(2, n + 2):
-        prev, cur = cur, ((2 * k + 1) * cur + 3 * (k - 1) * prev) // (k + 2)
-    return prev, cur
+    yield prev
+    for k in count(2):
+        yield cur
+        nxt, rem = divmod((2 * k + 1) * cur + 3 * (k - 1) * prev, k + 2)
+        if rem:
+            raise DivisibilityFailure(f"Motzkin recurrence: non-integral M_{k}")
+        prev, cur = cur, nxt
+
+
+def _motzkin_pair(n: int) -> tuple[int, int]:
+    """(M_n, M_{n+1})."""
+    numbers = islice(_motzkin_numbers(), n, None)
+    return next(numbers), next(numbers)
 
 
 class ExactCounts:

@@ -43,7 +43,7 @@ def exact_quotient(a, b):
 
 def _clean(terms: dict) -> dict:
     """Accumulated terms with zeros dropped and integral values as int."""
-    return {e: exact_scalar(c) for e, c in terms.items() if c}
+    return {e: c if type(c) is int else exact_scalar(c) for e, c in terms.items() if c}
 
 
 def _build(variables: tuple, terms: dict) -> "Poly":
@@ -171,6 +171,12 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            # a monomial factor shifts the exponents of the other operand
+            poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
+            (em, cm), = mono.terms.items()
+            return _build(self.variables, {tuple(map(add, e, em)): c * cm
+                                           for e, c in poly.terms.items()})
         out: dict[tuple, Scalar] = {}
         get = out.get
         for ea, ca in self.terms.items():
@@ -184,6 +190,9 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return _build(self.variables, {tuple(k * n for k in e): c ** n})
         result = Poly.one(self.variables)
         base = self
         while n:

@@ -10,9 +10,10 @@ truncate at the stated order and never consult coefficients beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Callable, Sequence
 
-from .counting import ExactCounts
+from .counting import ExactCounts, _motzkin_numbers
 from .errors import (
     DivisibilityFailure,
     NonUnitConstantTerm,
@@ -286,37 +287,62 @@ def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
                      numeric_limit: int = 2000) -> TruncatedSeries:
     """Expand the level-0 refinement of the Motzkin generating function.
 
-    Coefficients are polynomials in t; the coefficient of t^r0 w^n equals
-    level0_total(r0, n).  Built as A / (1 - t w A) where A = 1 / (1 - w^2 m)
-    generates the paths with no level-0 horizontal step.
+    The coefficient of t^r0 w^n equals level0_total(r0, n).  The paths with
+    no level-0 horizontal step have A = 1 / (1 - w^2 M) = (1 + w M) / (1 + w),
+    since M = 1 + w M + w^2 M^2, so L = A / (1 - t w A) reduces to
+    L = (1 - t + w M) / (1 - t + (1 - t + t^2) w).  Its coefficients follow
+    from L_0 = 1 and (1 - t) L_n = M_{n-1} - (1 - t + t^2) L_{n-1}, with no
+    square root, series inverse or product.
 
-    Passing a rational ``t`` makes the coefficients scalars (ints, or
-    Fractions when t is not an integer), which allows much larger orders
-    than the polynomial guard.  For t = p/q the expansion runs in integers,
-    at t = p with the coefficient of w^n scaled by q^n, and divides each
-    coefficient by q^n once at the end.
+    With ``t`` left out the coefficients are polynomials in t, and the
+    division by 1 - t is a running prefix sum.  Passing a rational
+    ``t = p/q`` makes them scalars (ints, or Fractions when a value is not
+    integral), which allows much larger orders than the polynomial guard:
+    l_n = q^n L_n runs in integers by
+    (q - p) l_n = q^(n+1) M_{n-1} - (q^2 - p q + p^2) l_{n-1}, and each l_n
+    is divided by q^n once at the end.  At t = 1 the coefficients are the
+    Motzkin numbers.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     cap = limit if t is None else numeric_limit
     if order > cap:
         raise ResourceGuardExceeded(f"level0 gf order {order} exceeds guard {cap}")
-    m1 = expand_motzkin_gf(order, with_v=False, counts=counts)
-    a = TruncatedSeries("w", [1, 0] + [-c for c in m1.coeffs[: order - 1]], order).inverse()
-    # the coefficient of w^n has degree <= n in t, so at t = p/q the series
-    # in q w with t = p is integral; its coefficient n is divided by q^n
+    motzkin = list(islice(_motzkin_numbers(), order + 1))  # M_0 .. M_order
     if t is None:
-        p, q = Poly.var(("t",), "t"), 1
-        zero = Poly.zero(("t",))
-    else:
-        p, q = exact_scalar(t).as_integer_ratio()
-        zero = 0
-    q_pows = [q ** n for n in range(order + 1)]
-    a_q = [c * qn for c, qn in zip(a.coeffs, q_pows)]
-    a_t = TruncatedSeries("w", [zero + c for c in a_q], order, zero)
-    twa = TruncatedSeries("w", [zero] + [p * c for c in a_q[:order]], order, zero)
-    scaled = a_t * (TruncatedSeries("w", [zero + 1], order, zero) - twa).inverse()
-    return scaled._wrap([exact_quotient(c, qn) for c, qn in zip(scaled.coeffs, q_pows)])
+        return _level0_gf_in_t(motzkin[:order], order)
+    p, q = exact_scalar(t).as_integer_ratio()
+    if p == q:
+        return TruncatedSeries("w", motzkin, order)
+    scaled = [1]  # l_n = q^n L_n
+    for n, m in enumerate(motzkin[:order], 1):
+        l_n, rem = divmod(q ** (n + 1) * m - (q * q - p * q + p * p) * scaled[-1], q - p)
+        if rem:
+            raise DivisibilityFailure(f"level0 gf at t = {p}/{q}: non-integral l_{n}")
+        scaled.append(l_n)
+    return TruncatedSeries("w", [exact_quotient(c, q ** n) for n, c in enumerate(scaled)], order)
+
+
+def _level0_gf_in_t(motzkin: list, order: int) -> TruncatedSeries:
+    """The level-0 GF in t, each L_n held as the int list of its
+    coefficients.  The prefix sums of R divide it by 1 - t; their last
+    entry is R(1), which must vanish."""
+    variables = ("t",)
+    level = [1]
+    out = [Poly.one(variables)]
+    for m in motzkin:
+        # R = M_{n-1} - (1 - t + t^2) L_{n-1}, of degree n + 1 in t
+        rest = [0] * (len(level) + 2)
+        for k, c in enumerate(level):
+            rest[k] -= c
+            rest[k + 1] += c
+            rest[k + 2] -= c
+        rest[0] += m
+        level = list(accumulate(rest))
+        if level.pop():
+            raise DivisibilityFailure("level0 gf: R(1) is nonzero, 1 - t does not divide R")
+        out.append(Poly(variables, {(k,): c for k, c in enumerate(level) if c}))
+    return TruncatedSeries("w", out, order, Poly.zero(variables))
 
 
 # ---------------------------------------------------------------------------

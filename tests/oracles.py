@@ -7,13 +7,18 @@ are formulas instead: level0_count_sumform sums the level-0 convolution
 formula, a second closed route to the package's level0_count, and
 island_gf_by_sqrt solves the island GF's quadratic by the package's series
 square root, so that the two-variable sqrt path stays checked against the
-recurrence the package uses.
+recurrence the package uses.  level0_gf_by_inverse likewise builds the
+level-0 GF from the Motzkin square root, two series inverses and a series
+product, against the package's linear recurrence, and poly_product_naive
+multiplies polynomials term by term, against the package's monomial
+shortcuts.
 """
 
 import math
 from collections import Counter
+from fractions import Fraction
 
-from shapeforge import Poly, TruncatedSeries
+from shapeforge import Poly, TruncatedSeries, expand_motzkin_gf
 
 
 def pascal_binomial(n, k):
@@ -144,3 +149,42 @@ def island_gf_by_sqrt(order):
         (y * shifted.coefficient(ell)).exact_div(divisor) for ell in range(1, order + 1)
     ]
     return TruncatedSeries("z", coeffs, order, zero)
+
+
+def level0_gf_by_inverse(order, t=None):
+    """The level-0 GF in w to the given order as A / (1 - t w A), with
+    A = 1 / (1 - w^2 M) from the Motzkin series M.  Coefficients are
+    polynomials in t, or scalars at a rational t = p/q; there the series in
+    q w at t = p is expanded in integers and coefficient n divided by q^n."""
+    m1 = expand_motzkin_gf(order, with_v=False)
+    a = TruncatedSeries("w", [1, 0] + [-c for c in m1.coeffs[: order - 1]], order).inverse()
+    if t is None:
+        p, q = Poly.var(("t",), "t"), 1
+        zero = Poly.zero(("t",))
+    else:
+        p, q = Fraction(t).as_integer_ratio()
+        zero = 0
+    q_pows = [q ** n for n in range(order + 1)]
+    a_q = [c * qn for c, qn in zip(a.coeffs, q_pows)]
+    a_t = TruncatedSeries("w", [zero + c for c in a_q], order, zero)
+    twa = TruncatedSeries("w", [zero] + [p * c for c in a_q[:order]], order, zero)
+    scaled = a_t * (TruncatedSeries("w", [zero + 1], order, zero) - twa).inverse()
+    coeffs = []
+    for c, qn in zip(scaled.coeffs, q_pows):
+        if isinstance(c, Poly):
+            coeffs.append(c)
+        else:
+            value = Fraction(c, qn)
+            coeffs.append(value.numerator if value.denominator == 1 else value)
+    return TruncatedSeries("w", coeffs, order, zero)
+
+
+def poly_product_naive(a, b):
+    """The term dict of a * b for two Polys, by the double loop over their
+    terms, with zero sums dropped and integral values as int."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return {e: c.numerator if c.denominator == 1 else c for e, c in out.items() if c}

@@ -209,6 +209,21 @@ def test_count_refuses_sizes_above_its_guard(capsys):
     assert len(out) > 4000
 
 
+@pytest.mark.parametrize("target, extra", [
+    ("motzkin_number", ()),
+    ("level0_total", ("--r0", "2")),
+    ("level0_weighted_sum", ()),
+])
+def test_asymptotics_refuses_n_above_the_count_motzkin_guard(capsys, target, extra):
+    code, out, err = run(capsys, "asymptotics", "--target", target, "--n", "20001", *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "ResourceGuardExceeded" in err
+    code, out, err = run(capsys, "asymptotics", "--target", target, "--n", "30", *extra)
+    assert (code, err) == (0, "")
+    assert "ratio" in out
+
+
 @pytest.mark.parametrize("family, flag, size", [
     ("catalan", "--n", -1),
     ("motzkin", "--n", -1),

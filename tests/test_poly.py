@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import poly_product_naive
 from shapeforge import Poly
 from shapeforge.errors import DivisibilityFailure
 
@@ -77,3 +78,25 @@ def test_exact_division_failure():
 def test_mixed_variable_sets_rejected():
     with pytest.raises(ValueError):
         Poly.var(XY, "x") + Poly.var(("z",), "z")
+
+
+def _typed(terms):
+    return {e: (c, type(c)) for e, c in terms.items()}
+
+
+@pytest.mark.parametrize("coeff", [3, -2, Fraction(3, 2), Fraction(-4, 2)])
+def test_monomial_products_and_powers_match_the_naive_product(coeff):
+    x = Poly.var(XY, "x")
+    y = Poly.var(XY, "y")
+    mono = Poly(XY, {(2, 1): coeff})
+    poly = 1 + Fraction(1, 3) * x * y - 2 * y ** 3 + x
+    zero = Poly.zero(XY)
+    for a, b in [(mono, poly), (poly, mono), (mono, mono), (mono, zero), (zero, mono),
+                 (Poly.one(XY), poly), (mono, Poly.const(XY, Fraction(1, 2)))]:
+        assert _typed((a * b).terms) == _typed(poly_product_naive(a, b)), (a, b)
+    power = Poly.one(XY)
+    for n in range(6):
+        assert _typed((mono ** n).terms) == _typed(power.terms), n
+        power = Poly(XY, poly_product_naive(power, mono))
+    assert (zero ** 0).terms == {(0, 0): 1}
+    assert all((zero ** n).is_zero for n in range(1, 4))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import shapeforge.poly as poly_module
 import shapeforge.series as series_module
-from oracles import island_gf_by_sqrt, motzkin_paths, step_counts
+from oracles import island_gf_by_sqrt, level0_gf_by_inverse, motzkin_paths, step_counts
 from shapeforge import (
     IDENTITY_NAMES,
     ISLAND_GF_FORMS,
@@ -245,6 +246,63 @@ def test_level0_gf_at_rational_t_is_the_polynomial_evaluated(t, counts):
     numeric = expand_level0_gf(order, counts, t=t)
     for n in range(order + 1):
         assert numeric.coefficient(n) == poly_t.coefficient(n).evaluate(t=t), n
+
+
+LEVEL0_RATIONAL_TS = [Fraction(3, 7), Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4), -1, 0, 1, 2, 3]
+
+
+def test_level0_gf_in_t_matches_the_inverse_route():
+    expected = level0_gf_by_inverse(60)
+    for order in range(61):
+        g = expand_level0_gf(order)
+        assert g.order == order
+        assert [c.terms for c in g.coeffs] == [c.terms for c in expected.coeffs[: order + 1]]
+        assert all(type(c) is int for c in _scalars(g))
+
+
+@pytest.mark.parametrize("t", LEVEL0_RATIONAL_TS, ids=str)
+def test_level0_gf_at_rational_t_matches_the_inverse_route(t):
+    expected = [(c, type(c)) for c in level0_gf_by_inverse(150, t).coeffs]
+    for order in range(151):
+        g = expand_level0_gf(order, t=t)
+        assert g.order == order
+        assert [(c, type(c)) for c in g.coeffs] == expected[: order + 1], order
+
+
+def test_level0_gf_needs_no_sqrt_inverse_or_product(monkeypatch):
+    expected = {t: level0_gf_by_inverse(40, t) for t in (None, Fraction(3, 7))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the level-0 recurrence must not get here")
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", refuse)
+    monkeypatch.setattr(TruncatedSeries, "sqrt", refuse)
+    monkeypatch.setattr(series_module, "expand_motzkin_gf", refuse)
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "__rmul__", refuse)
+    for t, series in expected.items():
+        assert expand_level0_gf(40, t=t) == series
+
+
+def test_level0_gf_refuses_a_wrong_motzkin_number(monkeypatch):
+    right = series_module._motzkin_numbers
+
+    def off_by_one_at_3():
+        for n, m in enumerate(right()):
+            yield m + (n == 3)
+
+    monkeypatch.setattr(series_module, "_motzkin_numbers", off_by_one_at_3)
+    for t in (None, Fraction(3, 7)):
+        with pytest.raises(DivisibilityFailure):
+            expand_level0_gf(10, t=t)
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 7), 2], ids=str)
+def test_level0_gf_at_its_numeric_limit_is_fast(t):
+    start = time.process_time()
+    g = expand_level0_gf(2000, t=t)
+    assert time.process_time() - start < 5
+    assert g.order == 2000
 
 
 def test_motzkin_self_convolution(counts):
