@@ -76,14 +76,17 @@ def _sign_at(coeffs, x: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-def find_zeta(lam: int, scan_steps: int = 1000,
-              width: Fraction = Fraction(1, 10 ** 12)) -> DominantSingularity:
+_SCAN_STEPS = 1000
+_WIDTH = Fraction(1, 10 ** 12)
+
+
+def find_zeta(lam: int) -> DominantSingularity:
     """Isolate the unique root of p(z) on (0, 1).
 
-    By Descartes' rule p has exactly one root in (0, 1), so p(k/scan_steps)
-    is positive exactly when k/scan_steps lies below it, and a binary search
+    By Descartes' rule p has exactly one root in (0, 1), so p(k/_SCAN_STEPS)
+    is positive exactly when k/_SCAN_STEPS lies below it, and a binary search
     finds the grid cell holding the root.  Bisection then halves that cell
-    until it is no wider than ``width``.  Every sign is read from an exact
+    until it is no wider than ``_WIDTH``.  Every sign is read from an exact
     integer; ``zeta`` is the float midpoint of the final bracket.
     """
     if not 1 <= lam <= 32:
@@ -91,12 +94,12 @@ def find_zeta(lam: int, scan_steps: int = 1000,
     coeffs = singular_polynomial(lam)
     if not _sign_at(coeffs, Fraction(0)) > 0 > _sign_at(coeffs, Fraction(1)):
         raise NoRootFound(f"no sign change of p on (0, 1) for lam = {lam}")
-    # the root is irrational, so p(k/scan_steps) < 0 exactly when k/scan_steps
+    # the root is irrational, so p(k/_SCAN_STEPS) < 0 exactly when k/_SCAN_STEPS
     # lies above it; the first such k ends the grid cell holding the root
-    k = bisect_left(range(scan_steps + 1), True,
-                    key=lambda k: _sign_at(coeffs, Fraction(k, scan_steps)) < 0)
-    low, high = Fraction(k - 1, scan_steps), Fraction(k, scan_steps)
-    while high - low > width:
+    k = bisect_left(range(_SCAN_STEPS + 1), True,
+                    key=lambda k: _sign_at(coeffs, Fraction(k, _SCAN_STEPS)) < 0)
+    low, high = Fraction(k - 1, _SCAN_STEPS), Fraction(k, _SCAN_STEPS)
+    while high - low > _WIDTH:
         mid = (low + high) / 2
         if _sign_at(coeffs, mid) > 0:
             low = mid

@@ -1,12 +1,19 @@
 """Command-line front door.
 
+A subcommand's handler computes its whole output as a ``Doc`` and returns
+it; ``main`` then streams it through ``_render``, so a failed check or
+computation never leaves partial stdout.  A table prints as its header and rows (in JSON, a "rows"
+list of objects keyed by the header), a "value" field alone (in csv, under a
+"value" header line), and other fields as "key: value" lines; JSON documents
+carry the fields after a top-level schema tag "shapeforge/1".
+
 Output is byte-deterministic for identical inputs: fixed field order, CSV
 headers always emitted, floats printed with 12 significant digits, and JSON
-documents carry a top-level schema tag "shapeforge/1" and never NaN or an
-infinity.  An asymptotic past the float range prints in the same style, as
-a decimal mantissa and exponent (a string in JSON).  Domain errors exit
-with status 1 and a one-line diagnostic naming the violated invariant;
-usage errors exit with status 2.  Integers print in full at any length.
+never holds NaN or an infinity.  An asymptotic past the float range prints
+in the same style, as a decimal mantissa and exponent (a string in JSON).
+Domain errors, and running out of memory, recursion depth or float range,
+exit with status 1 and a one-line diagnostic; usage errors exit with status
+2.  Integers print in full at any length.
 
 The environment variable SHAPEFORGE_MAX_N raises the enumeration and
 expansion guards.  This is unsafe: the guards exist to keep memory and
@@ -20,6 +27,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from .asymptotics import (
     ASYM_TARGETS,
@@ -71,49 +79,50 @@ def _fmt_exp(log_value: float) -> str:
     return f"{_fmt(mantissa)}e+{exponent}"
 
 
-def _print_json(doc: dict) -> None:
-    # NaN and infinities are not JSON; refuse them rather than print them
-    print(json.dumps(doc, allow_nan=False))
+class Doc(NamedTuple):
+    """A command's output: its fields, plus a header and rows for a table."""
+
+    fields: dict
+    header: tuple = ()
+    rows: list = ()
+    exit: int = 0
 
 
-def _emit_rows(args, header: list, rows: list, extra: dict | None = None) -> None:
-    fmt = getattr(args, "format", "plain")
+# NaN and infinities are not JSON; refuse them rather than print them
+_JSON = json.JSONEncoder(allow_nan=False)
+_JSON_ROWS = 1000  # rows encoded per piece of JSON output
+
+
+def _json_ready(fields: dict) -> dict:
+    # floats at the 12 digits they print with
+    return {k: float(_fmt(v)) if isinstance(v, float) else v for k, v in fields.items()}
+
+
+def _render(doc: Doc, fmt: str):
+    """Yield the text of doc in fmt a line (a block of JSON rows) at a time."""
+    fields, header, rows = doc.fields, doc.header, doc.rows
     if fmt == "json":
-        doc = {"schema": SCHEMA}
-        if extra:
-            doc.update(extra)
-        doc["rows"] = [
-            {name: (value if not isinstance(value, float) else float(_fmt(value)))
-             for name, value in zip(header, row)}
-            for row in rows
-        ]
-        _print_json(doc)
-    elif fmt == "csv":
-        print(",".join(header))
+        head = _JSON.encode(_json_ready({"schema": SCHEMA, **fields}))
+        if not header:
+            yield head + "\n"
+            return
+        yield head[:-1] + ', "rows": ['
+        for i in range(0, len(rows), _JSON_ROWS):
+            block = [_json_ready(dict(zip(header, row))) for row in rows[i:i + _JSON_ROWS]]
+            yield (", " if i else "") + _JSON.encode(block)[1:-1]
+        yield "]}\n"
+    elif header:
+        sep = "," if fmt == "csv" else "  "
+        yield sep.join(header) + "\n"
         for row in rows:
-            print(",".join(_fmt(v) for v in row))
+            yield sep.join(map(_fmt, row)) + "\n"
+    elif "value" in fields:
+        if fmt == "csv":
+            yield "value\n"
+        yield _fmt(fields["value"]) + "\n"
     else:
-        if extra:
-            for key, value in extra.items():
-                print(f"{key}: {_fmt(value)}")
-        print("  ".join(header))
-        for row in rows:
-            print("  ".join(_fmt(v) for v in row))
-
-
-def _emit_value(args, value, extra: dict | None = None) -> None:
-    fmt = getattr(args, "format", "plain")
-    if fmt == "json":
-        doc = {"schema": SCHEMA}
-        if extra:
-            doc.update(extra)
-        doc["value"] = value if not isinstance(value, float) else float(_fmt(value))
-        _print_json(doc)
-    elif fmt == "csv":
-        print("value")
-        print(_fmt(value))
-    else:
-        print(_fmt(value))
+        for key, value in fields.items():
+            yield f"{key}: {_fmt(value)}\n"
 
 
 def _read_text(args) -> str:
@@ -144,69 +153,63 @@ def _check_size(command: str, flag: str, size: int, minimum: int, default_limit:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> Doc:
     ss = parse_structure(_read_text(args))
-    _emit_value(args, "valid", {"length": ss.n, "pairs": len(ss.pairs)})
-    return 0
+    return Doc({"length": ss.n, "pairs": len(ss.pairs), "value": "valid"})
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Doc:
     ss = parse_structure(_read_text(args))
     report = analyze_elements(ss)
-    fields = [
-        ("hairpins", len(report.hairpins)),
-        ("bulges", len(report.bulges)),
-        ("tails", len(report.tails)),
-        ("interior_loops", len(report.interior_loops)),
-        ("multiloops", len(report.multiloops)),
-        ("external_components", report.external_components),
-        ("stacks", len(report.stacks)),
-        ("islands", len(report.islands)),
-    ]
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "length": ss.n,
-            "counts": dict(fields),
-            "hairpins": [{"pair": list(p), "loop": L} for p, L in report.hairpins],
-            "bulges": [list(r) for r in report.bulges],
-            "tails": [list(r) for r in report.tails],
-            "interior_loops": [[list(a), list(b)] for a, b in report.interior_loops],
-            "multiloops": [{"branches": k, "gaps": list(g)} for k, g in report.multiloops],
-            "stacks": [{"pair": list(p), "length": k} for p, k in report.stacks],
-            "islands": [list(r) for r in report.islands],
-        }
-        _print_json(doc)
-    else:
-        _emit_rows(args, ["element", "count"], fields)
-    return 0
+    counts = {
+        "hairpins": len(report.hairpins),
+        "bulges": len(report.bulges),
+        "tails": len(report.tails),
+        "interior_loops": len(report.interior_loops),
+        "multiloops": len(report.multiloops),
+        "external_components": report.external_components,
+        "stacks": len(report.stacks),
+        "islands": len(report.islands),
+    }
+    if args.format != "json":
+        return Doc({}, ("element", "count"), list(counts.items()))
+    return Doc({
+        "length": ss.n,
+        "counts": counts,
+        "hairpins": [{"pair": list(p), "loop": L} for p, L in report.hairpins],
+        "bulges": [list(r) for r in report.bulges],
+        "tails": [list(r) for r in report.tails],
+        "interior_loops": [[list(a), list(b)] for a, b in report.interior_loops],
+        "multiloops": [{"branches": k, "gaps": list(g)} for k, g in report.multiloops],
+        "stacks": [{"pair": list(p), "length": k} for p, k in report.stacks],
+        "islands": [list(r) for r in report.islands],
+    })
 
 
-def _cmd_abstract(args) -> int:
+def _cmd_abstract(args) -> Doc:
     ss = parse_structure(_read_text(args))
     if args.level == "island":
-        out = to_island_diagram(ss).text
+        shape = to_island_diagram(ss)
     elif args.level == "pi-prime":
-        out = to_pi_prime(ss).text
+        shape = to_pi_prime(ss)
     else:
-        out = to_pi(to_pi_prime(ss)).text
-    print(out)
-    return 0
+        shape = to_pi(to_pi_prime(ss))
+    return Doc({"value": shape.text})
 
 
-def _cmd_bijection(args) -> int:
+def _cmd_bijection(args) -> Doc:
     text = args.path if args.path is not None else args.text
     if text is None:
         raise UsageError("provide --path TEXT (or --in TEXT)")
     if args.direction == "encode2":
-        print(encode2(parse_path(text, PathKind.MOTZKIN2)))
+        out = encode2(parse_path(text, PathKind.MOTZKIN2))
     elif args.direction == "encode1":
-        print(encode1(parse_path(text, PathKind.MOTZKIN1)).text)
+        out = encode1(parse_path(text, PathKind.MOTZKIN1)).text
     elif args.direction == "decode2":
-        print(decode2(text).steps)
+        out = decode2(text).steps
     else:
-        print(decode1(text).steps)
-    return 0
+        out = decode1(text).steps
+    return Doc({"value": out})
 
 
 # smallest and largest --n (--ell for islands) per count family; the
@@ -222,7 +225,7 @@ _COUNT_SIZES = {
 }
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> Doc:
     counts = ExactCounts()
     family = args.family
     flag = "ell" if family == "islands" else "n"
@@ -230,55 +233,48 @@ def _cmd_count(args) -> int:
     _require(size is not None, f"{family} needs --{flag}")
     _check_size(f"count {family}", flag, size, *_COUNT_SIZES[family])
     if family == "catalan":
-        _emit_value(args, counts.catalan(size))
-    elif family == "motzkin":
-        _emit_value(args, counts.motzkin_number(size))
-    elif family == "motzkin-coeff":
+        return Doc({"value": counts.catalan(size)})
+    if family == "motzkin":
+        return Doc({"value": counts.motzkin_number(size)})
+    if family == "motzkin-coeff":
         rows = [(k, counts.motzkin_poly_coeff(size, k)) for k in range(size // 2 + 1)]
-        _emit_rows(args, ["k", "count"], rows)
-    elif family == "narayana":
+        return Doc({}, ("k", "count"), rows)
+    if family == "narayana":
         rows = [(k, counts.narayana(size, k)) for k in range(1, size + 1)]
-        _emit_rows(args, ["k", "count"], rows)
-    elif family == "convolution":
+        return Doc({}, ("k", "count"), rows)
+    if family == "convolution":
         rows = [(p, counts.catalan_convolution(size, p)) for p in range(1, size + 1)]
-        _emit_rows(args, ["p", "count"], rows)
-    elif family == "level0":
+        return Doc({}, ("p", "count"), rows)
+    if family == "level0":
         rows = [(r0, counts.level0_total(r0, size)) for r0 in range(size + 1)]
-        _emit_rows(args, ["r0", "count"], rows)
-    else:  # islands
-        rows = []
-        for h in range(1, size + 1):
-            for islands in range(h + 1, 2 * size + 1):
-                c = counts.island_count(h, islands, size)
-                if c:
-                    rows.append((h, islands, c))
-        _emit_rows(args, ["hairpins", "islands", "count"], rows)
-    return 0
+        return Doc({}, ("r0", "count"), rows)
+    rows = []  # islands
+    for h in range(1, size + 1):
+        for islands in range(h + 1, 2 * size + 1):
+            c = counts.island_count(h, islands, size)
+            if c:
+                rows.append((h, islands, c))
+    return Doc({}, ("hairpins", "islands", "count"), rows)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Doc:
     names = IDENTITY_NAMES if args.name == "all" else (args.name,)
     bounds = {}
     for name in names:
-        bound = args.bound
+        bound, flag = args.bound, "n"
         if bound is None and name == "island_gf_forms_agree" and args.order is not None:
-            bound = args.order
-        minimum, _, ceiling = IDENTITY_BOUNDS[name]
-        limit = _guard(ceiling)
-        if bound is not None and bound < minimum:
-            raise ValueError(f"verify {name}: bound {bound} is below {minimum}")
-        if bound is not None and bound > limit:
-            raise ResourceGuardExceeded(f"verify {name}: bound {bound} exceeds guard {limit}")
+            bound, flag = args.order, "order"
+        if bound is not None:
+            minimum, _, ceiling = IDENTITY_BOUNDS[name]
+            _check_size(f"verify {name}", flag, bound, minimum, ceiling)
         bounds[name] = bound
     counts = ExactCounts()
     reports = [verify_identity(name, bound, counts) for name, bound in bounds.items()]
+    code = 0 if all(r.passed for r in reports) else 1
     if args.format == "json":
-        _print_json({"schema": SCHEMA, "reports": [r.to_json() for r in reports]})
-    else:
-        for r in reports:
-            status = "pass" if r.passed else f"FAIL at {r.counterexample}"
-            print(f"{r.name}: {status} ({r.range_checked})")
-    return 0 if all(r.passed for r in reports) else 1
+        return Doc({"reports": [r.to_json() for r in reports]}, exit=code)
+    return Doc({r.name: ("pass" if r.passed else f"FAIL at {r.counterexample}")
+                + f" ({r.range_checked})" for r in reports}, exit=code)
 
 
 # largest --n and --r0-max of the level-0 distribution; both at once finish
@@ -286,43 +282,35 @@ def _cmd_verify(args) -> int:
 _LEVEL0_DISTRIBUTION_SIZE = 600
 
 
-def _cmd_distribution(args) -> int:
+def _cmd_distribution(args) -> Doc:
     if args.family == "level0":
         _require(args.n is not None, "level0 distribution needs --n")
         for flag, size in (("n", args.n), ("r0-max", args.r0_max)):
             _check_size("distribution level0", flag, size, 0, _LEVEL0_DISTRIBUTION_SIZE)
         rows = convergence_report("level0", n=args.n, r0_max=args.r0_max)
-        extra = {"family": "level0", "n": args.n}
+        fields = {"family": "level0", "n": args.n}
     else:
         _require(args.lam is not None and args.nu is not None,
                  "pi distribution needs --lambda and --nu")
         _check_size("distribution pi", "r0-max", args.r0_max, 0, 2000)
         rows = convergence_report("pi", lam=args.lam, nu=args.nu,
                                   r0_max=args.r0_max, limit=_guard(2000))
-        extra = {"family": "pi", "lambda": args.lam, "nu": args.nu}
-    _emit_rows(args, ["r0", "exact", "asymptotic", "deviation"], rows,
-               extra if args.format == "json" else None)
-    return 0
+        fields = {"family": "pi", "lambda": args.lam, "nu": args.nu}
+    return Doc(fields, ("r0", "exact", "asymptotic", "deviation"), rows)
 
 
-def _cmd_asymptotics(args) -> int:
+def _cmd_asymptotics(args) -> Doc:
     if args.target == "zeta":
         _require(args.lam is not None, "zeta needs --lambda")
         sing = deflate(args.lam, find_zeta(args.lam))
-        doc = {
+        return Doc({
             "lambda": args.lam,
-            "zeta": float(_fmt(sing.zeta)),
+            "zeta": sing.zeta,
             "parity": sing.parity,
-            "cofactor_at_zeta": float(_fmt(sing.cofactor_at_zeta)),
-            "distribution_base": float(_fmt(asym_pi(args.lam, 0, sing))),
-            "expected_r0": float(_fmt(asym_pi_expected(args.lam, sing))),
-        }
-        if args.format == "json":
-            _print_json({"schema": SCHEMA, **doc})
-        else:
-            for key, value in doc.items():
-                print(f"{key}: {_fmt(value)}")
-        return 0
+            "cofactor_at_zeta": sing.cofactor_at_zeta,
+            "distribution_base": asym_pi(args.lam, 0, sing),
+            "expected_r0": asym_pi_expected(args.lam, sing),
+        })
     needs = {
         "motzkin_number": ("n",),
         "level0_total": ("n", "r0"),
@@ -337,6 +325,8 @@ def _cmd_asymptotics(args) -> int:
     if "n" in needs[args.target]:
         # the exact counts behind these targets cost what `count motzkin` does
         _check_size(f"asymptotics {args.target}", "n", args.n, 1, _COUNT_SIZES["motzkin"][1])
+    if args.target == "pi_r0":
+        _check_size("asymptotics pi_r0", "r0", args.r0, 0, 2000)
     report = asym_count(
         args.target,
         n=args.n,
@@ -348,32 +338,23 @@ def _cmd_asymptotics(args) -> int:
     asymptotic = report.asymptotic
     if math.isinf(asymptotic):
         asymptotic = _fmt_exp(report.log_asymptotic)
-    doc = {
+    return Doc({
         "target": report.target,
         **report.params,
         "exact": report.exact,
         "asymptotic": asymptotic,
         "ratio": report.ratio,
-    }
-    if args.format == "json":
-        _print_json({"schema": SCHEMA, **{
-            k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in doc.items()
-        }})
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {_fmt(value)}")
-    return 0
+    })
 
 
-def _cmd_compatible(args) -> int:
+def _cmd_compatible(args) -> Doc:
     if args.r0_max is not None:
         _check_size("compatible", "r0-max", args.r0_max, 0, 2000)
     table = compatible_counts(args.lam, args.nu, limit=_guard(2000))
     r0_max = args.r0_max if args.r0_max is not None else table.r0_max
     rows = [(r0, table.count(r0, args.nu)) for r0 in range(r0_max + 1)]
-    extra = {"lambda": args.lam, "nu": args.nu, "total": table.total(args.nu)}
-    _emit_rows(args, ["r0", "count"], rows, extra if args.format == "json" else None)
-    return 0
+    fields = {"lambda": args.lam, "nu": args.nu, "total": table.total(args.nu)}
+    return Doc(fields, ("r0", "count"), rows)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -382,10 +363,6 @@ def _require(cond: bool, message: str) -> None:
 
 
 # -- parser -------------------------------------------------------------------
-
-
-def _add_format(p):
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
 
 
 def _add_input(p):
@@ -399,71 +376,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of RNA abstract shapes and Motzkin paths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
 
-    p = sub.add_parser("validate", help="parse and validate a dot-bracket string")
-    _add_input(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_validate)
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help, parents=[formats])
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("analyze", help="report the structure elements")
-    _add_input(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_analyze)
+    _add_input(command("validate", _cmd_validate, "parse and validate a dot-bracket string"))
+    _add_input(command("analyze", _cmd_analyze, "report the structure elements"))
 
-    p = sub.add_parser("abstract", help="abstract a structure to a shape")
+    p = command("abstract", _cmd_abstract, "abstract a structure to a shape")
     p.add_argument("--level", choices=("island", "pi-prime", "pi"), required=True)
     _add_input(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_abstract)
 
-    p = sub.add_parser("bijection", help="run a path/bracket encoding or its inverse")
+    p = command("bijection", _cmd_bijection, "run a path/bracket encoding or its inverse")
     p.add_argument("direction", choices=("encode1", "encode2", "decode1", "decode2"))
     p.add_argument("--path", help="input path steps or bracket text")
     p.add_argument("--in", dest="text", help="alias for --path")
-    _add_format(p)
-    p.set_defaults(func=_cmd_bijection)
 
-    p = sub.add_parser("count", help="exact counting tables")
-    p.add_argument("family", choices=(
-        "catalan", "motzkin", "motzkin-coeff", "narayana", "convolution",
-        "level0", "islands"))
+    p = command("count", _cmd_count, "exact counting tables")
+    p.add_argument("family", choices=tuple(_COUNT_SIZES))
     p.add_argument("--n", type=int)
     p.add_argument("--ell", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("verify", help="verify combinatorial identities")
+    p = command("verify", _cmd_verify, "verify combinatorial identities")
     p.add_argument("name", choices=IDENTITY_NAMES + ("all",))
     p.add_argument("--n", dest="bound", type=int, help="range bound")
     p.add_argument("--ell", dest="bound", type=int, help="range bound (alias)")
     p.add_argument("--order", type=int, help="series order for the gf check")
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("distribution", help="finite-size vs limit distributions")
+    p = command("distribution", _cmd_distribution, "finite-size vs limit distributions")
     p.add_argument("family", choices=("level0", "pi"))
     p.add_argument("--n", type=int)
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--nu", type=int)
     p.add_argument("--r0-max", dest="r0_max", type=int, default=8)
-    _add_format(p)
-    p.set_defaults(func=_cmd_distribution)
 
-    p = sub.add_parser("asymptotics", help="exact counts against their asymptotics")
+    p = command("asymptotics", _cmd_asymptotics, "exact counts against their asymptotics")
     p.add_argument("--target", choices=ASYM_TARGETS + ("zeta",), required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--nu", type=int)
     p.add_argument("--r0", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_asymptotics)
 
-    p = sub.add_parser("compatible", help="compatible pi-shape counts")
+    p = command("compatible", _cmd_compatible, "compatible pi-shape counts")
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--r0-max", dest="r0_max", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_compatible)
 
     return parser
 
@@ -481,11 +442,15 @@ def main(argv=None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        for text in _render(doc, args.format):
+            sys.stdout.write(text)
+        return doc.exit
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeforgeError, ValueError, OSError) as exc:
+    except (ShapeforgeError, ValueError, OSError, OverflowError, MemoryError,
+            RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from shapeforge import cli
 from shapeforge.cli import main
 from shapeforge.series import IDENTITY_BOUNDS
 
@@ -321,3 +325,82 @@ def test_domain_error_is_one_line_naming_invariant(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "DirectlyNested" in err
+
+
+# every subcommand at a small size in plain, csv and json; the expected bytes
+# are the output of the CLI before its formats went through one renderer,
+# except abstract and bijection under csv and json, which then ignored
+# --format and now print like every other value command
+_PINNED = json.loads((Path(__file__).parent / "cli_outputs.json").read_text())["runs"]
+
+
+@pytest.mark.parametrize("argv, stdout", [(r["argv"], r["stdout"]) for r in _PINNED],
+                         ids=[" ".join(r["argv"]) for r in _PINNED])
+def test_every_subcommand_prints_its_pinned_output(capsys, argv, stdout):
+    assert run(capsys, *argv) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("r0, error", [("-1", "ValueError"), ("2001", "ResourceGuardExceeded"),
+                                       ("1200", "OverflowError")])
+def test_asymptotics_pi_r0_fails_cleanly_on_a_large_or_negative_r0(capsys, monkeypatch, r0, error):
+    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+    code, out, err = run(capsys, "asymptotics", "--target", "pi_r0",
+                         "--lambda", "4", "--nu", "60", "--r0", r0)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError, OverflowError])
+def test_resource_exhaustion_exits_one_with_empty_stdout(capsys, monkeypatch, exc):
+    calls = []
+
+    def island_count(self, h, islands, ell):
+        calls.append(h)
+        if len(calls) == 50:  # part of the table is already computed
+            raise exc("out of room")
+        return 1
+
+    monkeypatch.setattr(cli.ExactCounts, "island_count", island_count)
+    code, out, err = run(capsys, "count", "islands", "--ell", "20")
+    assert (code, out) == (1, "")
+    assert err == f"error: {exc.__name__}: out of room\n"
+
+
+# A child's ru_maxrss starts from the RSS of the process that spawned it,
+# so a small python process spawns the command and reports its peak.
+_SPAWN = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "shapeforge.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv) -> float:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("SHAPEFORGE_MAX_N", None)
+    out = subprocess.run([sys.executable, "-c", _SPAWN, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, kilobytes = map(int, out.split())
+    assert code == 0
+    return kilobytes / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_a_large_table_is_streamed_not_joined(fmt):
+    # 28-30 MB when the rows are written a line (a block of JSON rows) at a
+    # time; joining the 9.5 MB of plain output into one string first takes
+    # it to about 50 MB, and json.dumps of the whole JSON document to 63 MB
+    assert _peak_rss_mb(["count", "islands", "--ell", "200", "--format", fmt]) < 45
+
+
+def test_json_rows_in_several_blocks_are_one_document(capsys):
+    _, doc, _ = run(capsys, "count", "islands", "--ell", "40", "--format", "json")
+    _, table, _ = run(capsys, "count", "islands", "--ell", "40", "--format", "csv")
+    rows = [[int(v) for v in line.split(",")] for line in table.splitlines()[1:]]
+    assert len(rows) > cli._JSON_ROWS
+    parsed = json.loads(doc)
+    assert doc == json.dumps(parsed) + "\n"
+    assert [[r["hairpins"], r["islands"], r["count"]] for r in parsed["rows"]] == rows
