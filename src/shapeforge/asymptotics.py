@@ -41,13 +41,6 @@ def singular_polynomial(lam: int) -> list:
     return coeffs
 
 
-def _eval_poly(coeffs, x):
-    acc = coeffs[-1] * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class DominantSingularity:
     """Isolated smallest positive root of the singular polynomial.
@@ -240,14 +233,27 @@ def _log_asym_pi_weighted(lam: int, nu: int, sing: DominantSingularity) -> float
 
 def _log_asym_pi_r0(lam: int, nu: int, r0: int, sing: DominantSingularity) -> float:
     z = sing.zeta
-    const = (
-        (r0 + 1)
-        * (1 + z ** (lam + 1)) ** r0
-        * _sqrt_cofactor(sing)
-        * _parity_bracket(sing, nu)
-        / (2 ** (r0 + 2) * SQRT_PI * (1 + z * z) ** (r0 + 1))
-    )
-    return nu * math.log(1 / z) + math.log(const) - 1.5 * math.log(nu)
+    try:
+        const = (
+            (r0 + 1)
+            * (1 + z ** (lam + 1)) ** r0
+            * _sqrt_cofactor(sing)
+            * _parity_bracket(sing, nu)
+            / (2 ** (r0 + 2) * SQRT_PI * (1 + z * z) ** (r0 + 1))
+        )
+    except OverflowError:
+        const = math.nan
+    if 0 < const < math.inf:
+        log_const = math.log(const)
+    else:  # the direct product left the float range; sum its logarithms
+        log_const = (
+            math.log(r0 + 1)
+            + r0 * math.log(1 + z ** (lam + 1))
+            + math.log(_sqrt_cofactor(sing) * _parity_bracket(sing, nu) / SQRT_PI)
+            - (r0 + 2) * math.log(2)
+            - (r0 + 1) * math.log(1 + z * z)
+        )
+    return nu * math.log(1 / z) + log_const - 1.5 * math.log(nu)
 
 
 ASYM_TARGETS = (

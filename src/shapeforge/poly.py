@@ -1,80 +1,56 @@
-"""Sparse multivariate polynomials over the rationals, computed in integers.
+"""Sparse multivariate polynomials with integer coefficients.
 
 A polynomial keeps a fixed tuple of variable names and a dict mapping
-exponent tuples to nonzero coefficients.  A coefficient is stored as an
-int whenever it is integral and as a Fraction only otherwise, so
-polynomials with integer coefficients multiply in plain big-int
-arithmetic.  All arithmetic is exact; zero coefficients are never stored
-and no float is ever produced.
+exponent tuples to nonzero int coefficients, so every product runs in
+plain big-int arithmetic.  A coefficient or scalar that is not an int
+raises TypeError.  The one division is exact division by a nonzero int,
+which raises DivisibilityFailure on a remainder.  Zero coefficients are
+never stored and no float is ever produced.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DivisibilityFailure
 
-Scalar = int | Fraction
 
-
-def exact_scalar(value) -> Scalar:
-    """``value`` as an int when it is integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def exact_quotient(a, b):
-    """a / b exactly, for a scalar or Poly ``a``.
-
-    Integer division goes through divmod, so an int quotient stays an int
-    and a Fraction is built only on a nonzero remainder.
-    """
-    if isinstance(a, Poly):
-        return a.exact_div(b)
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return exact_scalar(Fraction(a) / b)
-
-
-def _clean(terms: dict) -> dict:
-    """Accumulated terms with zeros dropped and integral values as int."""
-    return {e: c if type(c) is int else exact_scalar(c) for e, c in terms.items() if c}
+def _check_int(value) -> int:
+    if not isinstance(value, int):
+        raise TypeError(f"Poly coefficients are ints, got {type(value).__name__} {value!r}")
+    return value
 
 
 def _build(variables: tuple, terms: dict) -> "Poly":
-    """A Poly from accumulated terms, skipping the exponent validation."""
+    """A Poly from accumulated int terms, skipping the exponent validation."""
     p = object.__new__(Poly)
     object.__setattr__(p, "variables", variables)
-    object.__setattr__(p, "terms", _clean(terms))
+    object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
     return p
 
 
 class Poly:
-    """Immutable sparse polynomial with int or Fraction coefficients.
+    """Immutable sparse polynomial with int coefficients.
 
     Arithmetic requires both operands to share the same variable tuple;
-    plain ints and Fractions coerce to constant polynomials.
+    plain ints coerce to constant polynomials.
     """
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[tuple, Scalar] | None = None):
+    def __init__(self, variables: Iterable[str], terms: Mapping[tuple, int] | None = None):
         variables = tuple(variables)
         width = len(variables)
-        acc: dict[tuple, Scalar] = {}
+        acc: dict[tuple, int] = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(expo)
                 if len(expo) != width or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent {expo} for variables {variables}")
-                acc[expo] = acc.get(expo, 0) + exact_scalar(coeff)
+                acc[expo] = acc.get(expo, 0) + _check_int(coeff)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", _clean(acc))
+        object.__setattr__(self, "terms", {e: c for e, c in acc.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -86,7 +62,7 @@ class Poly:
         return cls(variables)
 
     @classmethod
-    def const(cls, variables: Iterable[str], value: Scalar) -> "Poly":
+    def const(cls, variables: Iterable[str], value: int) -> "Poly":
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): value})
 
@@ -103,14 +79,12 @@ class Poly:
 
     # -- helpers -----------------------------------------------------------
 
-    def _coerce(self, other) -> "Poly | None":
+    def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.variables != self.variables:
                 raise ValueError("mixed variable sets")
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(self.variables, other)
-        return None
+        return Poly.const(self.variables, other)
 
     @property
     def is_zero(self) -> bool:
@@ -119,30 +93,19 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def constant(self) -> Scalar:
+    def constant(self) -> int:
         """Coefficient of the constant monomial."""
         return self.terms.get((0,) * len(self.variables), 0)
 
-    def coefficient(self, **exponents: int) -> Scalar:
+    def coefficient(self, **exponents: int) -> int:
         """Coefficient of the monomial with the given exponents (others 0)."""
         expo = tuple(exponents.get(v, 0) for v in self.variables)
         return self.terms.get(expo, 0)
-
-    def degree(self, name: str | None = None) -> int:
-        """Total degree, or the degree in one variable; zero poly has -1."""
-        if not self.terms:
-            return -1
-        if name is None:
-            return max(sum(e) for e in self.terms)
-        i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         out = dict(self.terms)
         for expo, c in other.terms.items():
             out[expo] = out.get(expo, 0) + c
@@ -154,30 +117,23 @@ class Poly:
         return _build(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _build(self.variables, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            c = _check_int(other)
+            return _build(self.variables, {e: a * c for e, a in self.terms.items()})
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if len(other.terms) == 1 or len(self.terms) == 1:
             # a monomial factor shifts the exponents of the other operand
             poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
             (em, cm), = mono.terms.items()
             return _build(self.variables, {tuple(map(add, e, em)): c * cm
                                            for e, c in poly.terms.items()})
-        out: dict[tuple, Scalar] = {}
+        out: dict[tuple, int] = {}
         get = out.get
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -203,67 +159,24 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
+        if not isinstance(other, (Poly, int)):
             return NotImplemented
-        return self.terms == coerced.terms
+        return self.terms == self._coerce(other).terms
 
     __hash__ = None
 
-    # -- substitution and division ----------------------------------------
-
-    def substitute(self, **values: Scalar) -> "Poly":
-        """Substitute rationals for some variables, keeping the rest."""
-        values = {v: exact_scalar(val) for v, val in values.items()}
-        keep = tuple(v for v in self.variables if v not in values)
-        idx = [self.variables.index(v) for v in keep]
-        out: dict[tuple, Scalar] = {}
-        for expo, c in self.terms.items():
-            for v, val in values.items():
-                c *= val ** expo[self.variables.index(v)]
-            e = tuple(expo[i] for i in idx)
-            out[e] = out.get(e, 0) + c
-        return _build(keep, out)
-
-    def evaluate(self, **values: Scalar) -> Scalar:
-        """Evaluate at a full assignment of the variables."""
-        missing = [v for v in self.variables if v not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        return self.substitute(**values).constant()
-
-    def exact_div(self, divisor: "Poly | Scalar") -> "Poly":
-        """Divide exactly, raising DivisibilityFailure on any remainder."""
-        if isinstance(divisor, (int, Fraction)):
-            if not divisor:
-                raise ZeroDivisionError("division by zero")
-            return _build(self.variables,
-                          {e: exact_quotient(c, divisor) for e, c in self.terms.items()})
-        divisor = self._coerce(divisor)
-        if divisor is None or divisor.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        # Long division by a single divisor under lex order.  When the
-        # dividend is an exact multiple the leading term is always reducible,
-        # so hitting an irreducible leading term proves a nonzero remainder.
-        lead_d = max(divisor.terms)
-        lc_d = divisor.terms[lead_d]
-        rem = dict(self.terms)
-        quo: dict[tuple, Scalar] = {}
-        while rem:
-            lead_r = max(rem)
-            diff = tuple(map(sub, lead_r, lead_d))
-            if any(d < 0 for d in diff):
+    def exact_div(self, divisor: int) -> "Poly":
+        """Divide every coefficient by a nonzero int, raising
+        DivisibilityFailure on any remainder."""
+        if not _check_int(divisor):
+            raise ZeroDivisionError("division by zero")
+        out = {}
+        for e, c in self.terms.items():
+            q, r = divmod(c, divisor)
+            if r:
                 raise DivisibilityFailure(f"{self} is not divisible by {divisor}")
-            c = exact_quotient(rem[lead_r], lc_d)
-            quo[diff] = quo.get(diff, 0) + c
-            for eb, cb in divisor.terms.items():
-                e = tuple(map(add, diff, eb))
-                s = rem.get(e, 0) - c * cb
-                if s:
-                    rem[e] = s
-                elif e in rem:
-                    del rem[e]
-        return _build(self.variables, quo)
+            out[e] = q
+        return _build(self.variables, out)
 
     # -- display -----------------------------------------------------------
 

@@ -1,27 +1,25 @@
 """Exact truncated power series and the generating functions built from them.
 
-Coefficients live in an exact ring: int and Fraction scalars, or Poly for
-multivariate expansions.  A series with integral coefficients stays in
-integers throughout, the square root included, so Fraction appears only
-where a value is not integral.  Series are immutable; all operations
-truncate at the stated order and never consult coefficients beyond it.
+A TruncatedSeries holds the coefficients of a series in one variable up
+to a stated order: ints, or Polys in the other variables.  Each generating
+function here is algebraic, hence D-finite, so its coefficients follow a
+short linear recurrence whose multipliers are polynomials in the index.
+Every expansion runs such a recurrence in integers, and each of its
+divisions is exact: a remainder raises DivisibilityFailure.  There is no
+series square root, inverse or product.  Fraction appears only in the
+level-0 GF at a rational t, where a coefficient is not integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .counting import ExactCounts, _motzkin_numbers
-from .errors import (
-    DivisibilityFailure,
-    NonUnitConstantTerm,
-    ResourceGuardExceeded,
-    SelfCheckFailure,
-    UnknownIdentity,
-)
-from .poly import Poly, exact_quotient, exact_scalar
+from .errors import DivisibilityFailure, ResourceGuardExceeded, UnknownIdentity
+from .poly import Poly
 
 
 class TruncatedSeries:
@@ -45,62 +43,10 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    @property
-    def one(self):
-        return self.zero + 1
-
     def coefficient(self, n: int):
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def map_coeffs(self, f: Callable, zero=None) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.variable,
-            [f(c) for c in self.coeffs],
-            self.order,
-            self.zero if zero is None else zero,
-        )
-
-    def _wrap(self, coeffs) -> "TruncatedSeries":
-        return TruncatedSeries(self.variable, coeffs, self.order, self.zero)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            self.variable,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            order,
-            self.zero,
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            self.variable,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            order,
-            self.zero,
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self._wrap([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self._wrap([c * other for c in self.coeffs])
-        order = min(self.order, other.order)
-        out = [self.zero] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a == self.zero:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b != other.zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.variable, out, order, self.zero)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -109,87 +55,39 @@ class TruncatedSeries:
 
     __hash__ = None
 
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Divide by the k-th power of the variable; the dropped coefficients
-        must vanish."""
-        for n in range(k):
-            if self.coeffs[n] != self.zero:
-                raise DivisibilityFailure(
-                    f"coefficient of order {n} is nonzero, cannot shift by {k}"
-                )
-        return TruncatedSeries(self.variable, self.coeffs[k:], self.order - k, self.zero)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires constant term 1."""
-        if self.coeffs[0] != self.one:
-            raise NonUnitConstantTerm("series inverse needs constant term 1")
-        out = [self.one]
-        for n in range(1, self.order + 1):
-            acc = self.zero
-            for k in range(1, n + 1):
-                a = self.coeffs[k]
-                if a != self.zero:
-                    acc = acc + a * out[n - k]
-            out.append(-acc)
-        return self._wrap(out)
-
-    def sqrt(self) -> "TruncatedSeries":
-        """Square root by the coefficient recurrence, exact and in integers
-        when the coefficients are integral.
-
-        Requires constant term 1.  The recurrence runs on the scaled series
-        Y_n = 4^n y_n, which is integral whenever the a_n are:
-        2 Y_n = 4^n a_n - sum_{0<k<n} Y_k Y_{n-k}.  Each y_n is Y_n / 4^n,
-        divided once at the end.  Self-check, by the series product rather
-        than the recurrence: sum_{k<=n} Y_k Y_{n-k} = 4^n a_n for every n up
-        to the order, which is y * y == a; a mismatch raises
-        SelfCheckFailure.
-        """
-        if self.coeffs[0] != self.one:
-            raise NonUnitConstantTerm("series sqrt needs constant term 1")
-        scaled_a = self._wrap([4 ** n * a for n, a in enumerate(self.coeffs)])
-        scaled = [self.one]
-        for n in range(1, self.order + 1):
-            half = self.zero
-            for k in range(1, (n + 1) // 2):
-                half = half + scaled[k] * scaled[n - k]
-            rest = 2 * half
-            if n % 2 == 0:
-                rest = rest + scaled[n // 2] * scaled[n // 2]
-            scaled.append(exact_quotient(scaled_a.coeffs[n] - rest, 2))
-        root = self._wrap(scaled)
-        if root * root != scaled_a:
-            raise SelfCheckFailure("sqrt self-check failed: y * y differs from the series")
-        return self._wrap([exact_quotient(c, 4 ** n) for n, c in enumerate(scaled)])
-
 
 # ---------------------------------------------------------------------------
 # generating-function expansions
 
 
+# the largest Motzkin GF order: about 1 s of CPU and 60 MB at 2 vCPUs
+MOTZKIN_GF_LIMIT = 1000
+
+
 def expand_motzkin_gf(order: int = 64, with_v: bool = True,
                       counts: ExactCounts | None = None) -> TruncatedSeries:
-    """Expand the Motzkin generating function from its closed form.
+    """Expand the Motzkin generating function in w to the given order.
 
-    The coefficient of w^n is the Motzkin polynomial in v (coefficient of
-    v^k equals motzkin_poly_coeff(n, k)), or the Motzkin number at v = 1
-    when ``with_v`` is false.  Goes through the square root and the exact
-    division by 2 v w^2, which cross-validates the series machinery against
-    the closed counting formulas.
+    The coefficient of w^n is the Motzkin polynomial M_n in v (coefficient
+    of v^k equals motzkin_poly_coeff(n, k)), or the Motzkin number at
+    v = 1 when ``with_v`` is false.  M = (1 - w - sqrt((1 - w)^2 - 4 v w^2))
+    / (2 v w^2) is algebraic, so its coefficients follow the P-recurrence
+    (n+2) M_n = (2n+1) M_{n-1} + (n-1)(4v-1) M_{n-2} from M_0 = M_1 = 1,
+    one exact int division per coefficient.  At v = 1, where 4v - 1 = 3,
+    these are the Motzkin numbers of the counting module.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if with_v:
-        v = Poly.var(("v",), "v")
-        zero = Poly.zero(("v",))
-    else:
-        v = 1
-        zero = 0
-    one = zero + 1
-    radicand = TruncatedSeries("w", [one, -2 * one, one - 4 * v], order + 2, zero)
-    linear = TruncatedSeries("w", [one, -one], order + 2, zero)
-    shifted = (linear - radicand.sqrt()).shift_down(2)
-    return shifted.map_coeffs(lambda c: exact_quotient(c, 2 * v))
+    if order > MOTZKIN_GF_LIMIT:
+        raise ResourceGuardExceeded(f"motzkin gf order {order} exceeds guard {MOTZKIN_GF_LIMIT}")
+    if not with_v:
+        return TruncatedSeries("w", list(islice(_motzkin_numbers(), order + 1)), order)
+    one = Poly.one(("v",))
+    a = 4 * Poly.var(("v",), "v") - 1
+    coeffs = [one, one][: order + 1]
+    for n in range(2, order + 1):
+        coeffs.append(((2 * n + 1) * coeffs[-1] + (n - 1) * (a * coeffs[-2])).exact_div(n + 2))
+    return TruncatedSeries("w", coeffs, order, Poly.zero(("v",)))
 
 
 def _powers(base: Poly, n: int) -> list:
@@ -211,8 +109,9 @@ def expand_island_gf(order: int = 24, form: str = "closed",
     coefficient of x^h y^I z^ell equals island_count(h, I, ell).  Three
     equivalent routes are provided: a direct Narayana sum, the closed form,
     and the 2-Motzkin step-weight sum.  The closed form is the root of a
-    quadratic in F, expanded by the coefficient recurrence of that
-    quadratic in integers, with no square root and no polynomial division.
+    quadratic in F, expanded by the three-term linear recurrence of that
+    algebraic root in integers, with no square root and no product of two
+    series coefficients.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -254,32 +153,18 @@ def expand_island_gf(order: int = 24, form: str = "closed",
         return TruncatedSeries("z", coeffs, order, zero)
 
     # closed form: F = (1 - c1 z - sqrt(1 - 2 c1 z + c2 z^2)) y / (2 (1+y)^3 z)
-    # with c1 = (1+y)(1+y+xy) and c2 = ((1+y)(1+y-xy))^2.  As
-    # c1^2 - c2 = 4 x y (1+y)^3, F solves F = z (x y^2 + c1 F + (1+y)^3 F^2 / y):
-    # F_1 = x y^2 and F_{n+1} = c1 F_n + (1+y)^3 sum_{0<i<n} F_i F_{n-i} / y.
-    # Every F_i has y^2 in each term, so the division by y is exact.
+    # with c1 = (1+y)(1+y+xy) and c2 = ((1+y)(1+y-xy))^2.  The square root S
+    # solves (1 - 2 c1 z + c2 z^2) S' = (c2 z - c1) S, and for m >= 1 each F_m
+    # is a fixed multiple of S_{m+1}, so from F_1 = x y^2 and F_2 = c1 x y^2:
+    # (m+1) F_m = (2m-1) c1 F_{m-1} + (2-m) c2 F_{m-2} for m >= 3.
     c1 = oy * (oy + x * y)
-    cube = oy ** 3
-    coeffs = [zero, x * y * y][: order + 1]
-    for n in range(1, order):
-        half = zero
-        for i in range(1, (n + 1) // 2):
-            half = half + coeffs[i] * coeffs[n - i]
-        conv = 2 * half
-        if n % 2 == 0:
-            conv = conv + coeffs[n // 2] * coeffs[n // 2]
-        coeffs.append(c1 * coeffs[n] + cube * _divide_by_y(conv))
+    c2 = (oy * (oy - x * y)) ** 2
+    start = x * y * y
+    coeffs = [zero, start, c1 * start][: order + 1]
+    for m in range(3, order + 1):
+        coeffs.append(((2 * m - 1) * (c1 * coeffs[-1])
+                       + (2 - m) * (c2 * coeffs[-2])).exact_div(m + 1))
     return TruncatedSeries("z", coeffs, order, zero)
-
-
-def _divide_by_y(p: Poly) -> Poly:
-    """p / y for p in (x, y), as a shift of the y exponent."""
-    terms = {}
-    for (i, j), c in p.terms.items():
-        if not j:
-            raise DivisibilityFailure(f"{p} is not divisible by y")
-        terms[(i, j - 1)] = c
-    return Poly(p.variables, terms)
 
 
 def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
@@ -311,7 +196,7 @@ def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
     motzkin = list(islice(_motzkin_numbers(), order + 1))  # M_0 .. M_order
     if t is None:
         return _level0_gf_in_t(motzkin[:order], order)
-    p, q = exact_scalar(t).as_integer_ratio()
+    p, q = Fraction(t).as_integer_ratio()
     if p == q:
         return TruncatedSeries("w", motzkin, order)
     scaled = [1]  # l_n = q^n L_n
@@ -320,7 +205,13 @@ def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
         if rem:
             raise DivisibilityFailure(f"level0 gf at t = {p}/{q}: non-integral l_{n}")
         scaled.append(l_n)
-    return TruncatedSeries("w", [exact_quotient(c, q ** n) for n, c in enumerate(scaled)], order)
+    return TruncatedSeries("w", [_quotient(c, q ** n) for n, c in enumerate(scaled)], order)
+
+
+def _quotient(a: int, b: int) -> int | Fraction:
+    """a / b as an int when b divides a, else as a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _level0_gf_in_t(motzkin: list, order: int) -> TruncatedSeries:

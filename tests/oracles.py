@@ -1,24 +1,34 @@
-"""Brute-force enumeration oracles, independent of the package internals.
+"""Independent routes for the package's exact results.
 
-These deliberately re-derive everything from first principles (recursive
-enumeration, direct counting on step strings) so the closed formulas and
-generating functions are checked against a second route.  Two oracles
-are formulas instead: level0_count_sumform sums the level-0 convolution
-formula, a second closed route to the package's level0_count, and
-island_gf_by_sqrt solves the island GF's quadratic by the package's series
-square root, so that the two-variable sqrt path stays checked against the
-recurrence the package uses.  level0_gf_by_inverse likewise builds the
-level-0 GF from the Motzkin square root, two series inverses and a series
-product, against the package's linear recurrence, and poly_product_naive
-multiplies polynomials term by term, against the package's monomial
-shortcuts.
+Most oracles are brute-force enumerations from first principles
+(recursive enumeration, direct counting on step strings), against which
+the closed formulas and generating functions are checked.  The rest are
+formulas by a second route:
+
+- level0_count_sumform sums the level-0 convolution formula, against the
+  package's level0_count.
+- The series kernels work on plain coefficient lists (ints, Fractions or
+  Polys): series_mul, series_inverse, the exact square root scaled_sqrt
+  and series_sqrt, and shift_down.  The Poly kernels are poly_exact_div
+  (long division by a polynomial), poly_substitute, poly_evaluate and
+  poly_degree, and eval_poly evaluates an ascending coefficient list by
+  Horner's rule.  The package has none of them: its generating functions
+  run linear recurrences instead.
+- motzkin_gf_by_sqrt and island_gf_by_sqrt solve the quadratics of the
+  Motzkin and island GFs by the series square root and long division,
+  against the package's recurrences.  level0_gf_by_inverse builds the
+  level-0 GF from motzkin_gf_by_sqrt, two series inverses and a series
+  product, against the package's linear recurrence.
+- poly_product_naive multiplies polynomials term by term, against the
+  package's monomial shortcuts.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 
-from shapeforge import Poly, TruncatedSeries, expand_motzkin_gf
+from shapeforge import Poly
+from shapeforge.errors import DivisibilityFailure, NonUnitConstantTerm, SelfCheckFailure
 
 
 def pascal_binomial(n, k):
@@ -128,6 +138,153 @@ def count_by(iterable, key):
     return Counter(key(x) for x in iterable)
 
 
+# ---------------------------------------------------------------------------
+# series and polynomial kernels
+
+
+def exact_quotient(a, b):
+    """a / b for an int b: exact for a Poly (DivisibilityFailure on a
+    remainder), else an int when integral and a Fraction otherwise."""
+    if isinstance(a, Poly):
+        return a.exact_div(b)
+    value = Fraction(a, b)
+    return value.numerator if value.denominator == 1 else value
+
+
+def series_mul(a, b):
+    """The product of two coefficient lists, to the order of the shorter."""
+    zero = 0 * a[0]
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), zero)
+            for n in range(min(len(a), len(b)))]
+
+
+def shift_down(a, k):
+    """a divided by the k-th power of its variable; the dropped
+    coefficients must vanish."""
+    if any(a[:k]):
+        raise DivisibilityFailure(f"a coefficient below order {k} is nonzero")
+    return a[k:]
+
+
+def series_inverse(a):
+    """1 / a, for a coefficient list with constant term 1."""
+    if a[0] != 1:
+        raise NonUnitConstantTerm("series inverse needs constant term 1")
+    out = [a[0]]
+    for n in range(1, len(a)):
+        out.append(-sum((a[k] * out[n - k] for k in range(1, n + 1)), 0 * a[0]))
+    return out
+
+
+def scaled_sqrt(a):
+    """Y_n = 4^n y_n for y = sqrt(a), a[0] = 1, by the recurrence
+    2 Y_n = 4^n a_n - sum_{0<k<n} Y_k Y_{n-k}; Y is integral whenever a is.
+    Self-check, by the series product rather than the recurrence:
+    Y * Y = (4^n a_n), else SelfCheckFailure."""
+    if a[0] != 1:
+        raise NonUnitConstantTerm("series sqrt needs constant term 1")
+    target = [4 ** n * c for n, c in enumerate(a)]
+    root = [a[0]]
+    for n in range(1, len(a)):
+        rest = sum((root[k] * root[n - k] for k in range(1, n)), 0 * a[0])
+        root.append(exact_quotient(target[n] - rest, 2))
+    if series_mul(root, root) != target:
+        raise SelfCheckFailure("sqrt self-check failed: y * y differs from the series")
+    return root
+
+
+def series_sqrt(a):
+    """sqrt(a) for a[0] = 1: each Y_n of scaled_sqrt divided by 4^n."""
+    return [exact_quotient(c, 4 ** n) for n, c in enumerate(scaled_sqrt(a))]
+
+
+def poly_exact_div(p, divisor):
+    """p / divisor for a Poly or int divisor, by long division under lex
+    order; DivisibilityFailure on any remainder."""
+    if not isinstance(divisor, Poly):
+        divisor = Poly.const(p.variables, divisor)
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    # When the dividend is an exact multiple its leading term is always
+    # reducible, so an irreducible leading term proves a nonzero remainder.
+    lead_d = max(divisor.terms)
+    lc_d = divisor.terms[lead_d]
+    rem = dict(p.terms)
+    quo = {}
+    while rem:
+        lead_r = max(rem)
+        diff = tuple(a - b for a, b in zip(lead_r, lead_d))
+        c, r = divmod(rem[lead_r], lc_d)
+        if r or any(d < 0 for d in diff):
+            raise DivisibilityFailure(f"{p} is not divisible by {divisor}")
+        quo[diff] = c
+        for eb, cb in divisor.terms.items():
+            e = tuple(a + b for a, b in zip(diff, eb))
+            s = rem.get(e, 0) - c * cb
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return Poly(p.variables, quo)
+
+
+def poly_substitute(p, **values):
+    """p with ints substituted for some variables, keeping the rest."""
+    keep = [i for i, v in enumerate(p.variables) if v not in values]
+    out = {}
+    for expo, c in p.terms.items():
+        for i, v in enumerate(p.variables):
+            if v in values:
+                c *= values[v] ** expo[i]
+        e = tuple(expo[i] for i in keep)
+        out[e] = out.get(e, 0) + c
+    return Poly([p.variables[i] for i in keep], out)
+
+
+def poly_evaluate(p, **values):
+    """p at a full assignment of its variables, ints or Fractions."""
+    missing = [v for v in p.variables if v not in values]
+    if missing:
+        raise ValueError(f"missing values for {missing}")
+    values = {v: Fraction(value) for v, value in values.items()}
+    return sum(c * math.prod(values[v] ** e for v, e in zip(p.variables, expo))
+               for expo, c in p.terms.items())
+
+
+def poly_degree(p, name=None):
+    """Total degree, or the degree in one variable; the zero poly has -1."""
+    if not p.terms:
+        return -1
+    if name is None:
+        return max(sum(e) for e in p.terms)
+    i = p.variables.index(name)
+    return max(e[i] for e in p.terms)
+
+
+def eval_poly(coeffs, x):
+    """An ascending coefficient list at x, by Horner's rule."""
+    acc = coeffs[-1] * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# generating functions by the square root
+
+
+def motzkin_gf_by_sqrt(order, with_v=True):
+    """The Motzkin GF in w to the given order as
+    (1 - w - sqrt((1 - w)^2 - 4 v w^2)) / (2 v w^2): polynomials in v, or
+    the Motzkin numbers when ``with_v`` is false."""
+    v, one = (Poly.var(("v",), "v"), Poly.one(("v",))) if with_v else (1, 1)
+    zero = 0 * one
+    radicand = [one, -2 * one, one - 4 * v] + [zero] * order
+    linear = [one, -one] + [zero] * (order + 1)
+    shifted = shift_down([a - b for a, b in zip(linear, series_sqrt(radicand))], 2)
+    return [poly_exact_div(c, 2 * v) if with_v else exact_quotient(c, 2) for c in shifted]
+
+
 def island_gf_by_sqrt(order):
     """The island GF in z to the given order as the root of its quadratic:
     (1 - c1 z - sqrt(1 - 2 c1 z + c2 z^2)) y / (2 (1+y)^3 z), with
@@ -141,14 +298,11 @@ def island_gf_by_sqrt(order):
     oy = one + y
     c1 = oy * (oy + x * y)
     c2 = (oy * (oy - x * y)) ** 2
-    radicand = TruncatedSeries("z", [one, -2 * c1, c2], order + 1, zero)
-    linear = TruncatedSeries("z", [one, -c1], order + 1, zero)
-    shifted = (linear - radicand.sqrt()).shift_down(1)
+    radicand = ([one, -2 * c1, c2] + [zero] * order)[: order + 2]
+    linear = [one, -c1] + [zero] * order
+    shifted = shift_down([a - b for a, b in zip(linear, series_sqrt(radicand))], 1)
     divisor = 2 * oy ** 3
-    coeffs = [zero] + [
-        (y * shifted.coefficient(ell)).exact_div(divisor) for ell in range(1, order + 1)
-    ]
-    return TruncatedSeries("z", coeffs, order, zero)
+    return [zero] + [poly_exact_div(y * c, divisor) for c in shifted[1:]]
 
 
 def level0_gf_by_inverse(order, t=None):
@@ -156,35 +310,27 @@ def level0_gf_by_inverse(order, t=None):
     A = 1 / (1 - w^2 M) from the Motzkin series M.  Coefficients are
     polynomials in t, or scalars at a rational t = p/q; there the series in
     q w at t = p is expanded in integers and coefficient n divided by q^n."""
-    m1 = expand_motzkin_gf(order, with_v=False)
-    a = TruncatedSeries("w", [1, 0] + [-c for c in m1.coeffs[: order - 1]], order).inverse()
+    m1 = motzkin_gf_by_sqrt(order, with_v=False)
+    a = series_inverse(([1, 0] + [-c for c in m1[: order - 1]])[: order + 1])
     if t is None:
         p, q = Poly.var(("t",), "t"), 1
         zero = Poly.zero(("t",))
     else:
         p, q = Fraction(t).as_integer_ratio()
         zero = 0
-    q_pows = [q ** n for n in range(order + 1)]
-    a_q = [c * qn for c, qn in zip(a.coeffs, q_pows)]
-    a_t = TruncatedSeries("w", [zero + c for c in a_q], order, zero)
-    twa = TruncatedSeries("w", [zero] + [p * c for c in a_q[:order]], order, zero)
-    scaled = a_t * (TruncatedSeries("w", [zero + 1], order, zero) - twa).inverse()
-    coeffs = []
-    for c, qn in zip(scaled.coeffs, q_pows):
-        if isinstance(c, Poly):
-            coeffs.append(c)
-        else:
-            value = Fraction(c, qn)
-            coeffs.append(value.numerator if value.denominator == 1 else value)
-    return TruncatedSeries("w", coeffs, order, zero)
+    a_q = [c * q ** n for n, c in enumerate(a)]
+    a_t = [zero + c for c in a_q]
+    one_minus_twa = [zero + 1] + [-(p * c) for c in a_q[:order]]
+    scaled = series_mul(a_t, series_inverse(one_minus_twa))
+    return [c if t is None else exact_quotient(c, q ** n) for n, c in enumerate(scaled)]
 
 
 def poly_product_naive(a, b):
     """The term dict of a * b for two Polys, by the double loop over their
-    terms, with zero sums dropped and integral values as int."""
+    terms, with zero sums dropped."""
     out = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             e = tuple(i + j for i, j in zip(ea, eb))
-            out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
-    return {e: c.numerator if c.denominator == 1 else c for e, c in out.items() if c}
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import eval_poly
 from shapeforge import (
     asym_count,
     asym_level0,
@@ -13,7 +14,6 @@ from shapeforge import (
     find_zeta,
     singular_polynomial,
 )
-from shapeforge.asymptotics import _eval_poly
 from shapeforge.errors import UnsupportedTarget
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_enclosure_properties():
         assert _integer_value(coeffs, sing.low) > 0 > _integer_value(coeffs, sing.high)
         assert 0 < sing.zeta < 1
         assert sing.low <= Fraction(sing.zeta) <= sing.high
-        residual = abs(_eval_poly([float(c) for c in coeffs], sing.zeta))
+        residual = abs(eval_poly([float(c) for c in coeffs], sing.zeta))
         assert residual <= 1e-10
 
 
@@ -60,7 +60,7 @@ def test_odd_lambda_pairs_negative_root():
     for lam in (1, 3, 5, 7):
         sing = find_zeta(lam)
         coeffs = [float(c) for c in singular_polynomial(lam)]
-        assert abs(_eval_poly(coeffs, -sing.zeta)) <= 1e-10
+        assert abs(eval_poly(coeffs, -sing.zeta)) <= 1e-10
 
 
 def test_no_sign_change_before_the_bracket():
@@ -70,7 +70,7 @@ def test_no_sign_change_before_the_bracket():
         coeffs = singular_polynomial(lam)
         k = 1
         while Fraction(k, 1000) <= sing.low:
-            assert _eval_poly(coeffs, Fraction(k, 1000)) > 0
+            assert eval_poly(coeffs, Fraction(k, 1000)) > 0
             k += 1
 
 
@@ -81,13 +81,13 @@ def _scan_then_bisect(lam):
     low, high = Fraction(0), None
     for k in range(1, 1001):
         x = Fraction(k, 1000)
-        if _eval_poly(coeffs, x) < 0:
+        if eval_poly(coeffs, x) < 0:
             high = x
             break
         low = x
     while high - low > Fraction(1, 10 ** 12):
         mid = (low + high) / 2
-        if _eval_poly(coeffs, mid) > 0:
+        if eval_poly(coeffs, mid) > 0:
             low = mid
         else:
             high = mid
@@ -109,7 +109,7 @@ def _synthetic_cofactor(lam, zeta):
     if lam % 2:
         quotient = divide(quotient, -zeta)
         scale = -zeta * zeta
-    return scale * _eval_poly(quotient, zeta)
+    return scale * eval_poly(quotient, zeta)
 
 
 def test_find_zeta_matches_scan_then_bisect():
@@ -139,7 +139,7 @@ def test_deflate_reconstructs_lambda_one():
     coeffs = [float(c) for c in singular_polynomial(1)]
     for z in (0.0, 0.25, 0.5):
         rebuilt = (1 + z * z) * (1 - z / z0) * (1 + z / z0)
-        assert abs(rebuilt - _eval_poly(coeffs, z)) < 1e-8
+        assert abs(rebuilt - eval_poly(coeffs, z)) < 1e-8
 
 
 def test_deflate_cofactor_sign_supports_positive_counts():

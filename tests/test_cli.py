@@ -340,14 +340,36 @@ def test_every_subcommand_prints_its_pinned_output(capsys, argv, stdout):
     assert run(capsys, *argv) == (0, stdout, "")
 
 
-@pytest.mark.parametrize("r0, error", [("-1", "ValueError"), ("2001", "ResourceGuardExceeded"),
-                                       ("1200", "OverflowError")])
+@pytest.mark.parametrize("r0, error", [("-1", "ValueError"), ("2001", "ResourceGuardExceeded")])
 def test_asymptotics_pi_r0_fails_cleanly_on_a_large_or_negative_r0(capsys, monkeypatch, r0, error):
     monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
     code, out, err = run(capsys, "asymptotics", "--target", "pi_r0",
                          "--lambda", "4", "--nu", "60", "--r0", r0)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {error}")
+
+
+# the first r0 at which the direct product of the pi_r0 constant leaves the
+# float range at nu = 60, for each lam
+_PI_R0_FIRST_OUT_OF_RANGE = {1: 722, 4: 618, 32: 530}
+
+
+@pytest.mark.parametrize("lam", [1, 4, 32])
+@pytest.mark.parametrize("r0", ["first", 1021, 1500, 2000])
+def test_asymptotics_pi_r0_past_the_float_range(capsys, monkeypatch, lam, r0):
+    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+    r0 = _PI_R0_FIRST_OUT_OF_RANGE[lam] if r0 == "first" else r0
+    code, out, err = run(capsys, "asymptotics", "--target", "pi_r0",
+                         "--lambda", str(lam), "--nu", "60", "--r0", str(r0))
+    assert (code, err) == (0, "")
+    assert "\nexact: 0\n" in out and out.endswith("\nratio: 0\n")
+
+
+def test_asymptotics_pi_r0_keeps_the_direct_product_inside_the_float_range(capsys):
+    assert run(capsys, "asymptotics", "--target", "pi_r0",
+               "--lambda", "4", "--nu", "60", "--r0", "617") == (0, (
+                   "target: pi_r0\nlam: 4\nnu: 60\nr0: 617\nexact: 0\n"
+                   "asymptotic: 4.4851965622e-241\nratio: 0\n"), "")
 
 
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError, OverflowError])

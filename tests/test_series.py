@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -6,9 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+import shapeforge.asymptotics as asymptotics_module
 import shapeforge.poly as poly_module
 import shapeforge.series as series_module
-from oracles import island_gf_by_sqrt, level0_gf_by_inverse, motzkin_paths, step_counts
+from oracles import (
+    island_gf_by_sqrt,
+    level0_gf_by_inverse,
+    motzkin_gf_by_sqrt,
+    motzkin_paths,
+    poly_degree,
+    poly_evaluate,
+    poly_substitute,
+    scaled_sqrt,
+    series_inverse,
+    series_mul,
+    series_sqrt,
+    shift_down,
+    step_counts,
+)
 from shapeforge import (
     IDENTITY_NAMES,
     ISLAND_GF_FORMS,
@@ -29,76 +46,89 @@ from shapeforge.errors import (
 )
 
 # ---------------------------------------------------------------------------
-# series arithmetic
+# the oracles' series arithmetic, on coefficient lists
 
 
 def test_sqrt_of_one_is_one():
-    s = TruncatedSeries("w", [Fraction(1)], 10)
-    root = s.sqrt()
-    assert root.coeffs[0] == 1 and all(c == 0 for c in root.coeffs[1:])
+    root = series_sqrt([Fraction(1)] + [0] * 10)
+    assert root[0] == 1 and all(c == 0 for c in root[1:])
 
 
 def test_sqrt_reproduces_catalan_numbers(counts):
     # (1 - sqrt(1 - 4w)) / (2w) generates the Catalan numbers
-    order = 12
-    s = TruncatedSeries("w", [Fraction(1), Fraction(-4)], order)
-    numerator = TruncatedSeries("w", [Fraction(1)], order) - s.sqrt()
-    series = numerator.shift_down(1) * Fraction(1, 2)
+    s = [Fraction(1), Fraction(-4)] + [0] * 11
+    numerator = [int(n == 0) - c for n, c in enumerate(series_sqrt(s))]
+    series = [c * Fraction(1, 2) for c in shift_down(numerator, 1)]
     for k in range(11):
-        assert series.coefficient(k) == counts.catalan(k)
+        assert series[k] == counts.catalan(k)
 
 
 def test_sqrt_square_round_trip_on_random_polynomial_series():
+    # the root of a random integral series is not integral, so the round
+    # trip runs on its scaled coefficients Y_n = 4^n y_n
     rng = random.Random(20240817)
     variables = ("x", "y")
     for _ in range(3):
         coeffs = [Poly.one(variables)]
         for _ in range(20):
             terms = {
-                (rng.randrange(3), rng.randrange(3)): Fraction(rng.randrange(-4, 5))
+                (rng.randrange(3), rng.randrange(3)): rng.randrange(-4, 5)
                 for _ in range(3)
             }
             coeffs.append(Poly(variables, terms))
-        s = TruncatedSeries("z", coeffs, 20, Poly.zero(variables))
-        root = s.sqrt()  # sqrt() checks root * root == s internally
-        assert root * root == s
+        root = scaled_sqrt(coeffs)  # checks root * root internally
+        assert series_mul(root, root) == [4 ** n * c for n, c in enumerate(coeffs)]
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=8))
 @settings(max_examples=40, deadline=None)
 def test_sqrt_inverts_squaring(tail):
-    coeffs = [Fraction(1)] + [Fraction(c) for c in tail]
-    f = TruncatedSeries("w", coeffs, len(coeffs) - 1)
-    assert (f * f).sqrt() == f
+    f = [Fraction(1)] + [Fraction(c) for c in tail]
+    assert series_sqrt(series_mul(f, f)) == f
 
 
 def test_sqrt_self_check_raises(monkeypatch):
     # a broken recurrence step (the halving of 4^n a_n - sum Y_k Y_{n-k})
     # must be caught by a check that python -O keeps
-    exact_quotient = series_module.exact_quotient
+    exact_quotient = oracles.exact_quotient
 
     def off_by_one_halving(a, b):
         return exact_quotient(a, b) + (1 if b == 2 else 0)
 
-    monkeypatch.setattr(series_module, "exact_quotient", off_by_one_halving)
-    s = TruncatedSeries("w", [Fraction(1), Fraction(-4)], 6)
+    monkeypatch.setattr(oracles, "exact_quotient", off_by_one_halving)
     with pytest.raises(SelfCheckFailure):
-        s.sqrt()
+        series_sqrt([Fraction(1), Fraction(-4)] + [0] * 5)
 
 
 def test_inverse_requires_unit_constant_term():
     with pytest.raises(NonUnitConstantTerm):
-        TruncatedSeries("w", [Fraction(2), Fraction(1)], 4).inverse()
+        series_inverse([Fraction(2), Fraction(1)] + [0] * 3)
     with pytest.raises(NonUnitConstantTerm):
-        TruncatedSeries("w", [Fraction(0), Fraction(1)], 4).sqrt()
+        series_sqrt([Fraction(0), Fraction(1)] + [0] * 3)
 
 
 def test_inverse_round_trip():
-    f = TruncatedSeries("w", [Fraction(1), Fraction(3), Fraction(-2), Fraction(7)], 9)
-    g = f.inverse()
-    product = f * g
-    assert product.coefficient(0) == 1
-    assert all(c == 0 for c in product.coeffs[1:])
+    f = [Fraction(1), Fraction(3), Fraction(-2), Fraction(7)] + [0] * 6
+    product = series_mul(f, series_inverse(f))
+    assert product[0] == 1
+    assert all(c == 0 for c in product[1:])
+
+
+def test_the_series_square_root_inverse_and_long_division_are_gone_from_src():
+    # every generating function runs a linear recurrence; the general
+    # kernels live on only as the oracles above
+    gone = {
+        TruncatedSeries: ("sqrt", "inverse", "shift_down", "map_coeffs", "one",
+                          "__add__", "__sub__", "__neg__", "__mul__"),
+        Poly: ("substitute", "evaluate", "degree"),
+        series_module: ("_divide_by_y", "exact_quotient", "exact_scalar"),
+        asymptotics_module: ("_eval_poly",),
+        poly_module: ("Fraction", "Scalar", "exact_scalar", "exact_quotient"),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    assert "Fraction" not in inspect.getsource(poly_module)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +144,50 @@ def test_motzkin_gf_examples(counts):
 
 
 def test_motzkin_gf_matches_closed_counts(counts):
-    mv = expand_motzkin_gf(20, with_v=True)
-    for n in range(21):
-        poly = mv.coefficient(n)
-        for k in range(n // 2 + 1):
-            assert poly.coefficient(v=k) == counts.motzkin_poly_coeff(n, k)
-        assert poly.degree() <= n // 2
+    mv = expand_motzkin_gf(200, with_v=True)
+    for n in range(201):
+        expected = {(k,): counts.motzkin_poly_coeff(n, k) for k in range(n // 2 + 1)}
+        assert mv.coefficient(n).terms == expected, n
+    m1 = expand_motzkin_gf(200, with_v=False)
+    assert m1.coeffs == tuple(counts.motzkin_number(n) for n in range(201))
+    assert all(type(c) is int for c in _scalars(mv)) and all(type(c) is int for c in m1.coeffs)
+
+
+@pytest.mark.parametrize("with_v", [True, False])
+def test_motzkin_gf_recurrence_matches_the_sqrt_route(with_v):
+    expected = motzkin_gf_by_sqrt(60, with_v)
+    for order in range(61):
+        g = expand_motzkin_gf(order, with_v)
+        assert g.order == order
+        assert list(g.coeffs) == expected[: order + 1], order
+
+
+def test_motzkin_gf_guard():
+    limit = series_module.MOTZKIN_GF_LIMIT
+    for with_v in (True, False):
+        with pytest.raises(ResourceGuardExceeded):
+            expand_motzkin_gf(limit + 1, with_v)
+        with pytest.raises(ValueError):
+            expand_motzkin_gf(-1, with_v)
+
+
+@pytest.mark.parametrize("expand", [lambda: expand_motzkin_gf(12),
+                                    lambda: expand_island_gf(12, "closed")],
+                         ids=["motzkin", "island_closed"])
+def test_gf_recurrences_refuse_a_wrong_coefficient(monkeypatch, expand):
+    # the fourth exact division returns one more than the true coefficient;
+    # a later division of the recurrence must then leave a remainder
+    right = Poly.exact_div
+    calls = []
+
+    def off_by_one_once(self, divisor):
+        calls.append(divisor)
+        return right(self, divisor) + (len(calls) == 4)
+
+    expand()
+    monkeypatch.setattr(Poly, "exact_div", off_by_one_once)
+    with pytest.raises(DivisibilityFailure):
+        expand()
 
 
 def test_no_level0_factor_is_true_inverse(counts):
@@ -129,11 +197,10 @@ def test_no_level0_factor_is_true_inverse(counts):
     variables = ("v",)
     v = Poly.var(variables, "v")
     zero = Poly.zero(variables)
-    coeffs = [Poly.one(variables), zero] + [-(v * c) for c in m.coeffs[: order - 1]]
-    denom = TruncatedSeries("w", coeffs, order, zero)
-    product = denom * denom.inverse()
-    assert product.coefficient(0) == Poly.one(variables)
-    assert all(c == zero for c in product.coeffs[1:])
+    denom = [Poly.one(variables), zero] + [-(v * c) for c in m.coeffs[: order - 1]]
+    product = series_mul(denom, series_inverse(denom))
+    assert product[0] == Poly.one(variables)
+    assert all(c == zero for c in product[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +216,10 @@ def test_island_gf_examples(counts):
 
 
 def test_island_gf_forms_agree(counts):
-    series = [expand_island_gf(8, form, counts) for form in ("narayana", "closed", "motzkin2")]
+    # at the order guard
+    series = [expand_island_gf(24, form, counts) for form in ("narayana", "closed", "motzkin2")]
     assert series[0] == series[1] == series[2]
+    assert all(type(c) is int for c in _scalars(series[1]))
 
 
 def test_island_gf_matches_island_count(counts):
@@ -164,32 +233,8 @@ def test_island_gf_matches_island_count(counts):
 
 def test_island_gf_closed_form_matches_the_sqrt_of_its_quadratic():
     for order in range(13):
-        assert expand_island_gf(order, "closed") == island_gf_by_sqrt(order), order
+        assert list(expand_island_gf(order, "closed").coeffs) == island_gf_by_sqrt(order), order
 
-
-def test_island_gf_closed_form_needs_no_sqrt_division_or_fraction(monkeypatch):
-    expected = island_gf_by_sqrt(12)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the closed form must not get here")
-
-    class NoFraction(Fraction):
-        __new__ = refuse
-
-    monkeypatch.setattr(TruncatedSeries, "sqrt", refuse)
-    monkeypatch.setattr(Poly, "exact_div", refuse)
-    monkeypatch.setattr(poly_module, "Fraction", NoFraction)
-    g = expand_island_gf(12, "closed")
-    assert g == expected
-    assert all(type(c) is int for c in _scalars(g))
-
-
-def test_island_gf_recurrence_refuses_a_term_free_of_y():
-    x = Poly.var(("x", "y"), "x")
-    y = Poly.var(("x", "y"), "y")
-    assert series_module._divide_by_y(x * y * y + y) == x * y + 1
-    with pytest.raises(DivisibilityFailure):
-        series_module._divide_by_y(x * y + x)
 
 
 def test_island_gf_guard():
@@ -216,13 +261,13 @@ def test_level0_gf_matches_totals(counts):
         poly = g.coefficient(n)
         for r0 in range(n + 1):
             assert poly.coefficient(t=r0) == counts.level0_total(r0, n)
-        assert poly.degree() <= n
+        assert poly_degree(poly) <= n
 
 
 def test_level0_gf_at_t_one_recovers_motzkin(counts):
     g = expand_level0_gf(16, counts)
     for n in range(17):
-        assert g.coefficient(n).evaluate(t=1) == counts.motzkin_number(n)
+        assert poly_evaluate(g.coefficient(n), t=1) == counts.motzkin_number(n)
 
 
 def test_level0_gf_numeric_t(counts):
@@ -245,7 +290,7 @@ def test_level0_gf_at_rational_t_is_the_polynomial_evaluated(t, counts):
     poly_t = expand_level0_gf(order, counts)
     numeric = expand_level0_gf(order, counts, t=t)
     for n in range(order + 1):
-        assert numeric.coefficient(n) == poly_t.coefficient(n).evaluate(t=t), n
+        assert numeric.coefficient(n) == poly_evaluate(poly_t.coefficient(n), t=t), n
 
 
 LEVEL0_RATIONAL_TS = [Fraction(3, 7), Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4), -1, 0, 1, 2, 3]
@@ -256,13 +301,13 @@ def test_level0_gf_in_t_matches_the_inverse_route():
     for order in range(61):
         g = expand_level0_gf(order)
         assert g.order == order
-        assert [c.terms for c in g.coeffs] == [c.terms for c in expected.coeffs[: order + 1]]
+        assert [c.terms for c in g.coeffs] == [c.terms for c in expected[: order + 1]]
         assert all(type(c) is int for c in _scalars(g))
 
 
 @pytest.mark.parametrize("t", LEVEL0_RATIONAL_TS, ids=str)
 def test_level0_gf_at_rational_t_matches_the_inverse_route(t):
-    expected = [(c, type(c)) for c in level0_gf_by_inverse(150, t).coeffs]
+    expected = [(c, type(c)) for c in level0_gf_by_inverse(150, t)]
     for order in range(151):
         g = expand_level0_gf(order, t=t)
         assert g.order == order
@@ -275,13 +320,11 @@ def test_level0_gf_needs_no_sqrt_inverse_or_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the level-0 recurrence must not get here")
 
-    monkeypatch.setattr(TruncatedSeries, "inverse", refuse)
-    monkeypatch.setattr(TruncatedSeries, "sqrt", refuse)
     monkeypatch.setattr(series_module, "expand_motzkin_gf", refuse)
     monkeypatch.setattr(Poly, "__mul__", refuse)
     monkeypatch.setattr(Poly, "__rmul__", refuse)
     for t, series in expected.items():
-        assert expand_level0_gf(40, t=t) == series
+        assert list(expand_level0_gf(40, t=t).coeffs) == series
 
 
 def test_level0_gf_refuses_a_wrong_motzkin_number(monkeypatch):
@@ -309,9 +352,9 @@ def test_motzkin_self_convolution(counts):
     # [w^n] w m(1,w)^2 = sum_{i+j=n-1} M_i M_j = sum r0 * level0_total(r0, n)
     order = 14
     m = expand_motzkin_gf(order, with_v=False)
-    msq = m * m
+    msq = series_mul(m.coeffs, m.coeffs)
     for n in range(1, order + 1):
-        conv = msq.coefficient(n - 1)
+        conv = msq[n - 1]
         assert conv == counts.level0_weighted_sum(n)
         assert conv == sum(r0 * counts.level0_total(r0, n) for r0 in range(n + 1))
 
@@ -332,8 +375,7 @@ def test_coefficients_are_int_or_fraction_never_float(counts):
     ]
     for series in poly_valued:
         for c in _scalars(series):
-            # integral coefficients are stored as int, the rest as Fraction
-            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+            assert type(c) is int, c
     scalar_valued = [
         expand_motzkin_gf(20, with_v=False),
         expand_level0_gf(20, counts, t=Fraction(3, 7)),
@@ -342,9 +384,9 @@ def test_coefficients_are_int_or_fraction_never_float(counts):
     for series in scalar_valued:
         assert all(type(c) in (int, Fraction) for c in series.coeffs)
     assert all(type(c) is int for c in scalar_valued[0].coeffs + scalar_valued[2].coeffs)
-    half = (Poly.var(("x", "y"), "x") + 1).exact_div(2)
-    assert half.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in half.terms.values())
+    # a Poly holds ints only, so an odd coefficient does not halve
+    with pytest.raises(DivisibilityFailure):
+        (Poly.var(("x", "y"), "x") + 1).exact_div(2)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +477,7 @@ def test_specialisations_of_the_island_identity(counts):
         for p in range((ell - 1) // 2 + 1):
             rhs0 = rhs0 + counts.motzkin_poly_coeff(ell - 1, p) * (x * oy ** 3) ** p * (
                 oy * (oy + x)) ** (ell - 2 * p - 1)
-        assert lhs0.substitute(y=0) == (x * rhs0).substitute(y=0)
+        assert poly_substitute(lhs0, y=0) == poly_substitute(x * rhs0, y=0)
 
         lhs1 = Poly.zero(XY)
         for h in range(1, ell + 1):
