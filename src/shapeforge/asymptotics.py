@@ -270,8 +270,9 @@ ASYM_TARGETS = (
 class AsymptoticReport:
     """An exact count, its leading asymptotic and their ratio.
 
-    ``asymptotic`` is inf beyond the float range; ``log_asymptotic``, its
-    natural logarithm, is finite at every size.
+    ``asymptotic`` is inf above the float range, and 0 or a subnormal float
+    below it; ``log_asymptotic``, its natural logarithm, is finite at every
+    size, and the CLI prints such a value from it.
     """
 
     target: str

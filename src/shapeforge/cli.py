@@ -9,8 +9,9 @@ carry the fields after a top-level schema tag "shapeforge/1".
 
 Output is byte-deterministic for identical inputs: fixed field order, CSV
 headers always emitted, floats printed with 12 significant digits, and JSON
-never holds NaN or an infinity.  An asymptotic past the float range prints
-in the same style, as a decimal mantissa and exponent (a string in JSON).
+never holds NaN or an infinity.  An asymptotic above or below the float
+range (normal floats) prints in the same style, as a decimal mantissa and
+signed exponent (a string in JSON).
 Domain errors, and running out of memory, recursion depth or float range,
 exit with status 1 and a one-line diagnostic; usage errors exit with status
 2.  Integers print in full at any length.
@@ -69,14 +70,14 @@ def _fmt(x) -> str:
 
 
 def _fmt_exp(log_value: float) -> str:
-    """exp(log_value) as _fmt prints a float, for values past the float
-    range: a decimal mantissa and exponent, taken from the logarithm."""
+    """exp(log_value) as _fmt prints a float, for values above or below the
+    float range: a decimal mantissa and signed exponent, from the logarithm."""
     log10 = log_value / math.log(10)
     exponent = math.floor(log10)
     mantissa = float(format(10 ** (log10 - exponent), ".12g"))
     if mantissa >= 10:  # rounded up to the next power of ten
         mantissa, exponent = mantissa / 10, exponent + 1
-    return f"{_fmt(mantissa)}e+{exponent}"
+    return f"{_fmt(mantissa)}e{exponent:+d}"
 
 
 class Doc(NamedTuple):
@@ -155,7 +156,7 @@ def _check_size(command: str, flag: str, size: int, minimum: int, default_limit:
 
 def _cmd_validate(args) -> Doc:
     ss = parse_structure(_read_text(args))
-    return Doc({"length": ss.n, "pairs": len(ss.pairs), "value": "valid"})
+    return Doc({"length": ss.n, "pairs": ss.text.count("("), "value": "valid"})
 
 
 def _cmd_analyze(args) -> Doc:
@@ -336,7 +337,8 @@ def _cmd_asymptotics(args) -> Doc:
         limit=_guard(2000),
     )
     asymptotic = report.asymptotic
-    if math.isinf(asymptotic):
+    # overflowed, or underflowed to 0 or a subnormal: print from the logarithm
+    if not sys.float_info.min <= asymptotic < math.inf and math.isfinite(report.log_asymptotic):
         asymptotic = _fmt_exp(report.log_asymptotic)
     return Doc({
         "target": report.target,

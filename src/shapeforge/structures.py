@@ -10,12 +10,20 @@ abstractions are provided:
   maximal unpaired run (tails included) becomes "_";
 * pi shape: the pi-prime shape with blanks removed and the resulting
   directly nested pairs merged, leaving only hairpin/multiloop branching.
+
+The element analysis and the pi-prime shape walk a structure by its
+maximal stacks (``_stacks``), not by its vertices: only a stack's
+innermost pair closes a loop, and unpaired runs, islands and external
+components are found by string searches on the parsed text.  The bracket
+matcher itself stays a per-character loop; it serves the short bracket
+strings of paths and shapes too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -36,11 +44,14 @@ class SecondaryStructure:
     """Validated pairing on vertices 1..n.
 
     ``pairing`` has length n + 1; entry 0 is unused and entry i holds the
-    partner of vertex i, or None when i is unpaired.
+    partner of vertex i, or None when i is unpaired.  ``text`` is the
+    dot-bracket string it was parsed from; it takes no part in equality or
+    repr.
     """
 
     n: int
     pairing: tuple
+    text: str = field(compare=False, repr=False)
 
     @property
     def pairs(self) -> tuple:
@@ -92,12 +103,16 @@ def parse_structure(text: str) -> SecondaryStructure:
     if bad:
         i = min(map(text.index, bad))
         raise IllegalCharacter(f"character {text[i]!r} at position {i + 1}")
-    partner = match_brackets(text)
+    try:
+        # behind a leading dot the matcher's indices are the 1-based vertices
+        pairing = match_brackets("." + text)
+    except UnbalancedBrackets:
+        match_brackets(text)  # raises again, at positions in text
+        raise
     if "()" in text:
         i = text.index("()") + 1
         raise AdjacentPair(f"pair ({i},{i + 1}) joins adjacent vertices")
-    pairing = [None] + [None if j is None else j + 1 for j in partner]
-    return SecondaryStructure(len(text), tuple(pairing))
+    return SecondaryStructure(len(text), tuple(pairing), text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,50 +146,76 @@ class ElementReport:
     islands: tuple           # maximal runs of paired vertices
 
 
-def analyze_elements(ss: SecondaryStructure) -> ElementReport:
-    """Classify every vertex of a valid structure into its element."""
-    pairs = ss.pairs
-    children: dict[tuple, list] = {p: [] for p in pairs}
-    top: list[tuple] = []
-    open_stack: list[tuple] = []
-    for i in range(1, ss.n + 1):
-        j = ss.pairing[i]
-        if j is None:
-            continue
-        if j > i:
-            p = (i, j)
-            if open_stack:
-                children[open_stack[-1]].append(p)
-            else:
-                top.append(p)
-            open_stack.append(p)
-        else:
-            open_stack.pop()
+_OPENER_RUNS = re.compile(r"\(+")
+_ISLANDS = re.compile(r"[()]+")
+_UNPAIRED_RUNS = re.compile(r"\.+")
 
+
+def _stacks(ss: SecondaryStructure) -> list:
+    """Every maximal stack as ((outermost pair), length), in opening order.
+
+    A stack's openers are consecutive, so each run of openers is split
+    wherever the partners stop counting down.
+    """
+    pairing = ss.pairing
+    stacks = []
+    for run in _OPENER_RUNS.finditer(ss.text):
+        i, last = run.start() + 1, run.end()
+        while i <= last:
+            j = pairing[i]
+            # partners fall strictly along a run, so they count down to the
+            # run's end exactly when the rest of the run is one stack
+            if pairing[last] == j + i - last:
+                k = last - i + 1
+            else:
+                k = 1
+                while pairing[i + k] == j - k:
+                    k += 1
+            stacks.append(((i, j), k))
+            i += k
+    return stacks
+
+
+def analyze_elements(ss: SecondaryStructure) -> ElementReport:
+    """Classify every vertex of a valid structure into its element.
+
+    Only the innermost pair of a stack closes a loop; its children are
+    found by jumping from each child's opener past its partner.
+    """
+    text, pairing = ss.text, ss.pairing
+    stacks = _stacks(ss)
     hairpins = []
     bulges = []
     interior = []
     multis = []
-    for (i, j), kids in children.items():
+    for (i, j), k in stacks:
+        i, j = i + k - 1, j - k + 1  # the innermost pair
         gaps = []
         prev = i
-        for a, b in kids:
+        # vertex v sits at text[v - 1], so text[i:j - 1] holds i + 1..j - 1
+        a = text.find("(", i, j - 1) + 1
+        while a:
             gaps.append((prev + 1, a - 1))
-            prev = b
+            prev = pairing[a]
+            a = text.find("(", prev, j - 1) + 1
         gaps.append((prev + 1, j - 1))
-        runs = [(a, b) for a, b in gaps if a <= b]
-        if not kids:
+        if len(gaps) == 1:
             hairpins.append(((i, j), j - i - 1))
-        elif len(kids) == 1:
+        elif len(gaps) == 2:
+            # a lone child at (i + 1, j - 1) would extend the stack
+            runs = [(a, b) for a, b in gaps if a <= b]
             if len(runs) == 2:
                 interior.append((runs[0], runs[1]))
-            elif len(runs) == 1:
+            else:
                 bulges.append(runs[0])
-            # no runs: the pair simply stacks on its child
         else:
-            lengths = tuple(sorted(max(0, b - a + 1) for a, b in gaps))
-            multis.append((len(kids) + 1, lengths))
+            multis.append((len(gaps), tuple(sorted(b - a + 1 for a, b in gaps))))
 
+    top = []
+    a = text.find("(") + 1
+    while a:
+        top.append((a, pairing[a]))
+        a = text.find("(", pairing[a]) + 1
     tails = []
     external_runs = []
     if top:
@@ -184,33 +225,12 @@ def analyze_elements(ss: SecondaryStructure) -> ElementReport:
             tails.append((1, first - 1))
         if last < ss.n:
             tails.append((last + 1, ss.n))
-        prev_end = None
-        for a, b in top:
-            if prev_end is not None and a > prev_end + 1:
-                external_runs.append((prev_end + 1, a - 1))
-            prev_end = b
+        for (_, b), (a, _) in zip(top, top[1:]):
+            if a > b + 1:
+                external_runs.append((b + 1, a - 1))
     elif ss.n:
         # no pairs at all: the whole strand sits in the external loop
         external_runs.append((1, ss.n))
-
-    stacks = []
-    for i, j in pairs:
-        if i >= 2 and ss.pairing[i - 1] == j + 1:
-            continue  # interior pair of a stack already reported
-        k = 1
-        while i + k < j - k and ss.pairing[i + k] == j - k:
-            k += 1
-        stacks.append(((i, j), k))
-
-    islands = []
-    start = None
-    for i in range(1, ss.n + 2):
-        paired = i <= ss.n and ss.pairing[i] is not None
-        if paired and start is None:
-            start = i
-        elif not paired and start is not None:
-            islands.append((start, i - 1))
-            start = None
 
     return ElementReport(
         hairpins=tuple(hairpins),
@@ -221,7 +241,7 @@ def analyze_elements(ss: SecondaryStructure) -> ElementReport:
         external_runs=tuple(external_runs),
         external_components=len(top),
         stacks=tuple(stacks),
-        islands=tuple(islands),
+        islands=tuple((m.start() + 1, m.end()) for m in _ISLANDS.finditer(text)),
     )
 
 
@@ -248,16 +268,15 @@ class IslandDiagram:
         bad = set(t) - set("()_")
         if bad:
             raise IllegalCharacter(f"island diagram characters {sorted(bad)}")
-        partner = match_brackets(t)
+        match_brackets(t)
         if t.startswith("_") or t.endswith("_"):
             raise ValueError(f"island diagram has a tail blank: {t!r}")
         if "__" in t:
             raise ValueError(f"island diagram has consecutive blanks: {t!r}")
-        # with doubled blanks excluded, an interior of length >= 3 always
-        # holds a bracket, so only the two shortest interiors need checking
-        for i, j in enumerate(partner):
-            if j is not None and 0 < j - i <= 2 and t[i + 1 : j] != "_":
-                raise ValueError(f"hairpin without a single blank at {i} in {t!r}")
+        # a one-character interior of a matched pair can only be the blank,
+        # so only an empty interior, "()", lacks its hairpin blank
+        if "()" in t:
+            raise ValueError(f"hairpin without a single blank at {t.index('()')} in {t!r}")
 
     def stats(self) -> tuple[int, int, int]:
         """(hairpins, islands, base pairs) of the diagram."""
@@ -305,43 +324,20 @@ class PiShape:
 
 def to_island_diagram(ss: SecondaryStructure) -> IslandDiagram:
     """Drop tails and compress every unpaired run between islands to "_"."""
-    paired = [i for i in range(1, ss.n + 1) if ss.pairing[i] is not None]
-    if not paired:
-        return IslandDiagram("")
-    first, last = paired[0], paired[-1]
-    chunks = []
-    i = first
-    while i <= last:
-        j = ss.pairing[i]
-        if j is None:
-            chunks.append("_")
-            while i <= last and ss.pairing[i] is None:
-                i += 1
-        else:
-            chunks.append("(" if j > i else ")")
-            i += 1
-    return IslandDiagram("".join(chunks))
+    return IslandDiagram(_UNPAIRED_RUNS.sub("_", ss.text.strip(".")))
+
+
+_BRACKETS_TO_SQUARE = bytes.maketrans(b"()", b"[]")
 
 
 def to_pi_prime(ss: SecondaryStructure) -> PiPrimeShape:
     """Abstract each maximal stack to one "[]" pair; keep all blanks."""
-    chunks = []
-    i = 1
-    while i <= ss.n:
-        j = ss.pairing[i]
-        if j is None:
-            chunks.append("_")
-            while i <= ss.n and ss.pairing[i] is None:
-                i += 1
-            continue
-        if j > i:
-            if ss.pairing[i - 1] != j + 1:
-                chunks.append("[")
-        else:
-            if ss.pairing[j - 1] != i + 1:
-                chunks.append("]")
-        i += 1
-    return PiPrimeShape("".join(chunks))
+    text = bytearray(ss.text, "ascii")
+    for (i, j), k in _stacks(ss):
+        # blank all but the outermost pair; vertex v sits at text[v - 1]
+        text[i:i + k - 1] = text[j - k:j - 1] = b"x" * (k - 1)
+    kept = text.translate(_BRACKETS_TO_SQUARE, b"x").decode("ascii")
+    return PiPrimeShape(_UNPAIRED_RUNS.sub("_", kept))
 
 
 def to_pi(shape: PiPrimeShape) -> PiShape:

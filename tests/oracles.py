@@ -21,14 +21,27 @@ formulas by a second route:
   product, against the package's linear recurrence.
 - poly_product_naive multiplies polynomials term by term, against the
   package's monomial shortcuts.
+- The structure pipeline by vertex: pairing_by_vertex parses a dot-bracket
+  string with its own bracket stack, and analyze_elements_by_vertex,
+  island_text_by_vertex and pi_prime_text_by_vertex read only that pairing,
+  one vertex at a time, against the package's stack-level walk over the
+  parsed text.  check_island_text is the island-diagram validation with a
+  per-pair hairpin loop, against the package's substring test.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 
-from shapeforge import Poly
-from shapeforge.errors import DivisibilityFailure, NonUnitConstantTerm, SelfCheckFailure
+from shapeforge import ElementReport, Poly
+from shapeforge.errors import (
+    AdjacentPair,
+    DivisibilityFailure,
+    IllegalCharacter,
+    NonUnitConstantTerm,
+    SelfCheckFailure,
+    UnbalancedBrackets,
+)
 
 
 def pascal_binomial(n, k):
@@ -334,3 +347,200 @@ def poly_product_naive(a, b):
             e = tuple(i + j for i, j in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# the structure pipeline, one vertex at a time
+
+
+def _match_by_stack(text, open_ch="(", close_ch=")"):
+    """Partner index of every bracket, None elsewhere, by one bracket stack;
+    raises UnbalancedBrackets at the first unmatched closer, or else at the
+    last unmatched opener (1-based positions)."""
+    partner = [None] * len(text)
+    stack = []
+    for i, ch in enumerate(text):
+        if ch == open_ch:
+            stack.append(i)
+        elif ch == close_ch:
+            if not stack:
+                raise UnbalancedBrackets(f"unmatched {close_ch!r} at position {i + 1}")
+            j = stack.pop()
+            partner[i] = j
+            partner[j] = i
+    if stack:
+        raise UnbalancedBrackets(f"unmatched {open_ch!r} at position {stack[-1] + 1}")
+    return partner
+
+
+def pairing_by_vertex(text):
+    """The 1-based pairing tuple of a dot-bracket string (entry 0 unused),
+    raising IllegalCharacter, UnbalancedBrackets or AdjacentPair in that
+    order."""
+    bad = set(text) - set(".()")
+    if bad:
+        i = min(map(text.index, bad))
+        raise IllegalCharacter(f"character {text[i]!r} at position {i + 1}")
+    partner = _match_by_stack(text)
+    if "()" in text:
+        i = text.index("()") + 1
+        raise AdjacentPair(f"pair ({i},{i + 1}) joins adjacent vertices")
+    return tuple([None] + [None if j is None else j + 1 for j in partner])
+
+
+def analyze_elements_by_vertex(pairing):
+    """The ElementReport of a pairing, from the children of every pair."""
+    n = len(pairing) - 1
+    pairs = tuple(
+        (i, pairing[i]) for i in range(1, n + 1)
+        if pairing[i] is not None and pairing[i] > i
+    )
+    children = {p: [] for p in pairs}
+    top = []
+    open_stack = []
+    for i in range(1, n + 1):
+        j = pairing[i]
+        if j is None:
+            continue
+        if j > i:
+            p = (i, j)
+            if open_stack:
+                children[open_stack[-1]].append(p)
+            else:
+                top.append(p)
+            open_stack.append(p)
+        else:
+            open_stack.pop()
+
+    hairpins = []
+    bulges = []
+    interior = []
+    multis = []
+    for (i, j), kids in children.items():
+        gaps = []
+        prev = i
+        for a, b in kids:
+            gaps.append((prev + 1, a - 1))
+            prev = b
+        gaps.append((prev + 1, j - 1))
+        runs = [(a, b) for a, b in gaps if a <= b]
+        if not kids:
+            hairpins.append(((i, j), j - i - 1))
+        elif len(kids) == 1:
+            if len(runs) == 2:
+                interior.append((runs[0], runs[1]))
+            elif len(runs) == 1:
+                bulges.append(runs[0])
+            # no runs: the pair simply stacks on its child
+        else:
+            lengths = tuple(sorted(max(0, b - a + 1) for a, b in gaps))
+            multis.append((len(kids) + 1, lengths))
+
+    tails = []
+    external_runs = []
+    if top:
+        first = top[0][0]
+        last = top[-1][1]
+        if first > 1:
+            tails.append((1, first - 1))
+        if last < n:
+            tails.append((last + 1, n))
+        prev_end = None
+        for a, b in top:
+            if prev_end is not None and a > prev_end + 1:
+                external_runs.append((prev_end + 1, a - 1))
+            prev_end = b
+    elif n:
+        external_runs.append((1, n))
+
+    stacks = []
+    for i, j in pairs:
+        if i >= 2 and pairing[i - 1] == j + 1:
+            continue  # interior pair of a stack already reported
+        k = 1
+        while i + k < j - k and pairing[i + k] == j - k:
+            k += 1
+        stacks.append(((i, j), k))
+
+    islands = []
+    start = None
+    for i in range(1, n + 2):
+        paired = i <= n and pairing[i] is not None
+        if paired and start is None:
+            start = i
+        elif not paired and start is not None:
+            islands.append((start, i - 1))
+            start = None
+
+    return ElementReport(
+        hairpins=tuple(hairpins),
+        bulges=tuple(bulges),
+        tails=tuple(tails),
+        interior_loops=tuple(interior),
+        multiloops=tuple(multis),
+        external_runs=tuple(external_runs),
+        external_components=len(top),
+        stacks=tuple(stacks),
+        islands=tuple(islands),
+    )
+
+
+def island_text_by_vertex(pairing):
+    """The island diagram text of a pairing: tails dropped, every unpaired
+    run between islands one "_"."""
+    n = len(pairing) - 1
+    paired = [i for i in range(1, n + 1) if pairing[i] is not None]
+    if not paired:
+        return ""
+    first, last = paired[0], paired[-1]
+    chunks = []
+    i = first
+    while i <= last:
+        j = pairing[i]
+        if j is None:
+            chunks.append("_")
+            while i <= last and pairing[i] is None:
+                i += 1
+        else:
+            chunks.append("(" if j > i else ")")
+            i += 1
+    return "".join(chunks)
+
+
+def pi_prime_text_by_vertex(pairing):
+    """The pi-prime text of a pairing: one "[]" per maximal stack, one "_"
+    per unpaired run."""
+    n = len(pairing) - 1
+    chunks = []
+    i = 1
+    while i <= n:
+        j = pairing[i]
+        if j is None:
+            chunks.append("_")
+            while i <= n and pairing[i] is None:
+                i += 1
+            continue
+        if j > i:
+            if pairing[i - 1] != j + 1:
+                chunks.append("[")
+        else:
+            if pairing[j - 1] != i + 1:
+                chunks.append("]")
+        i += 1
+    return "".join(chunks)
+
+
+def check_island_text(t):
+    """Raise what an invalid island diagram text raises; every pair's
+    interior of length 1 or 2 must be the single blank "_"."""
+    bad = set(t) - set("()_")
+    if bad:
+        raise IllegalCharacter(f"island diagram characters {sorted(bad)}")
+    partner = _match_by_stack(t)
+    if t.startswith("_") or t.endswith("_"):
+        raise ValueError(f"island diagram has a tail blank: {t!r}")
+    if "__" in t:
+        raise ValueError(f"island diagram has consecutive blanks: {t!r}")
+    for i, j in enumerate(partner):
+        if j is not None and 0 < j - i <= 2 and t[i + 1 : j] != "_":
+            raise ValueError(f"hairpin without a single blank at {i} in {t!r}")

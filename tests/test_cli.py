@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from shapeforge import cli
+from shapeforge.asymptotics import asym_count
 from shapeforge.cli import main
 from shapeforge.series import IDENTITY_BOUNDS
 
@@ -363,6 +364,33 @@ def test_asymptotics_pi_r0_past_the_float_range(capsys, monkeypatch, lam, r0):
                          "--lambda", str(lam), "--nu", "60", "--r0", str(r0))
     assert (code, err) == (0, "")
     assert "\nexact: 0\n" in out and out.endswith("\nratio: 0\n")
+
+
+# the first r0 at which the pi_r0 asymptotic falls below the smallest normal
+# float at nu = 60, for each lam
+_PI_R0_FIRST_UNDERFLOW = {1: 1070, 4: 785, 32: 612}
+
+
+@pytest.mark.parametrize("lam", [1, 4, 32])
+@pytest.mark.parametrize("r0", ["first", 2000])
+def test_an_underflowing_asymptotic_prints_mantissa_and_exponent(capsys, monkeypatch, lam, r0):
+    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+    r0 = _PI_R0_FIRST_UNDERFLOW[lam] if r0 == "first" else r0
+    report = asym_count("pi_r0", lam=lam, nu=60, r0=r0)
+    assert report.asymptotic < sys.float_info.min and math.isfinite(report.log_asymptotic)
+    if r0 < 2000:
+        assert asym_count("pi_r0", lam=lam, nu=60, r0=r0 - 1).asymptotic >= sys.float_info.min
+    argv = ("asymptotics", "--target", "pi_r0", "--lambda", str(lam), "--nu", "60", "--r0", str(r0))
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    printed = dict(line.split(": ") for line in plain.splitlines())
+    code, doc, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    for text in (printed["asymptotic"], json.loads(doc)["asymptotic"]):
+        mantissa, exponent = text.split("e-")
+        assert 1 <= float(mantissa) < 10
+        log10 = math.log10(float(mantissa)) - int(exponent)
+        assert abs(log10 - report.log_asymptotic / math.log(10)) < 1e-9
 
 
 def test_asymptotics_pi_r0_keeps_the_direct_product_inside_the_float_range(capsys):

@@ -1,9 +1,22 @@
+import itertools
+import random
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import balanced_strings, count_by
+from oracles import (
+    analyze_elements_by_vertex,
+    balanced_strings,
+    check_island_text,
+    count_by,
+    island_text_by_vertex,
+    pairing_by_vertex,
+    pi_prime_text_by_vertex,
+)
 from shapeforge import (
+    ElementReport,
     IslandDiagram,
     PiPrimeShape,
     PiShape,
@@ -329,3 +342,130 @@ def test_random_structures_round_trip_through_island_diagram(text):
     if ss.pairs:
         pi = to_pi(shape)
         assert pi_stats(pi).components == analyze_elements(ss).external_components
+
+
+# ---------------------------------------------------------------------------
+# the stack-level walk against the per-vertex oracles
+
+
+def _assert_matches_by_vertex(text):
+    ss = parse_structure(text)
+    pairing = pairing_by_vertex(text)
+    assert ss.pairing == pairing and ss.n == len(text)
+    rep, want = analyze_elements(ss), analyze_elements_by_vertex(pairing)
+    for f in fields(ElementReport):
+        assert getattr(rep, f.name) == getattr(want, f.name), (f.name, text[:60])
+    assert to_island_diagram(ss).text == island_text_by_vertex(pairing)
+    prime = to_pi_prime(ss)
+    assert prime.text == pi_prime_text_by_vertex(pairing)
+    # to_pi itself is unchanged, so equal pi-prime texts give equal pi shapes
+    if "(" in text:
+        to_pi(prime)
+    else:
+        with pytest.raises(EmptyResult):
+            to_pi(prime)
+
+
+def _outcome(f, arg):
+    """None when f(arg) returns, else the type and message of what it raised."""
+    try:
+        f(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _dotted_balanced(draw):
+    """A balanced_strings string with 0-3 dots in every gap; a "()" gets at
+    least one, so the structure is valid."""
+    base = draw(st.integers(min_value=0, max_value=7).flatmap(
+        lambda pairs: st.sampled_from(list(balanced_strings(pairs)))))
+    dots = draw(st.lists(st.integers(min_value=0, max_value=3),
+                         min_size=len(base) + 1, max_size=len(base) + 1))
+    out = ["." * dots[0]]
+    for g, ch in enumerate(base):
+        out.append(ch)
+        gap = dots[g + 1]
+        if base[g:g + 2] == "()":
+            gap = max(gap, 1)
+        out.append("." * gap)
+    return "".join(out)
+
+
+@given(_dotted_balanced())
+@settings(max_examples=300, deadline=None)
+def test_dotted_balanced_strings_match_the_per_vertex_oracles(text):
+    _assert_matches_by_vertex(text)
+
+
+def _random_structure(rng, n):
+    """About n nt: stacks of 1-8 pairs opened back to back or after unpaired
+    runs, hairpins of 3-8 nt, tails of 0-20 nt at both ends."""
+    out = ["." * rng.randint(0, 20)]
+    open_stacks = []
+    size = 0
+    while size < n or open_stacks:
+        x = rng.random()
+        if open_stacks and (size >= n or x < 0.4):
+            if out[-1].endswith("("):
+                out.append("." * rng.randint(3, 8))
+            out.append(")" * open_stacks.pop())
+        elif x < 0.75:
+            k = rng.randint(1, 8)
+            out.append("(" * k)
+            open_stacks.append(k)
+            size += 2 * k
+        else:
+            k = rng.randint(1, 6)
+            out.append("." * k)
+            size += k
+    out.append("." * rng.randint(0, 20))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_structures_match_the_per_vertex_oracles(seed):
+    rng = random.Random(20261018 + seed)
+    _assert_matches_by_vertex(_random_structure(rng, rng.randint(1000, 20000)))
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300000 + "..." + ")" * 300000,
+    "((" + "(...)." * 2000 + "))",
+    "..((" + "(...)." * 2000 + "))...",
+    "",
+    ".",
+    "." * 1000,
+], ids=["deep-helix", "multiloop", "multiloop-tails", "empty", "dot", "dots"])
+def test_extreme_structures_match_the_per_vertex_oracles(text):
+    _assert_matches_by_vertex(text)
+
+
+def test_every_short_string_parses_or_fails_as_the_oracle_does():
+    # all strings over ".()x" up to length 8, and a seeded sample of 9-12
+    rng = random.Random(4412)
+    texts = ["".join(p) for k in range(9) for p in itertools.product(".()x", repeat=k)]
+    texts += ["".join(rng.choices(".()x", k=rng.randint(9, 12))) for _ in range(20000)]
+    valid = 0
+    for text in texts:
+        want = _outcome(pairing_by_vertex, text)
+        assert _outcome(parse_structure, text) == want, text
+        if want is None:
+            _assert_matches_by_vertex(text)
+            valid += 1
+    assert valid > 100
+
+
+def test_island_diagram_validation_matches_the_per_pair_loop():
+    # every string over "()_x" up to length 9
+    accepted = 0
+    for k in range(10):
+        for chars in itertools.product("()_x", repeat=k):
+            t = "".join(chars)
+            want = _outcome(check_island_text, t)
+            assert _outcome(IslandDiagram, t) == want, t
+            accepted += want is None
+    # the empty diagram, and every generated one that fits
+    assert accepted == 1 + sum(1 for ell in range(1, 5) for d in generate_island_diagrams(ell)
+                           if len(d.text) <= 9)
