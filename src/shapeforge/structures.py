@@ -45,8 +45,11 @@ class SecondaryStructure:
 
     ``pairing`` has length n + 1; entry 0 is unused and entry i holds the
     partner of vertex i, or None when i is unpaired.  ``text`` is the
-    dot-bracket string it was parsed from; it takes no part in equality or
-    repr.
+    dot-bracket string ``pairing`` was parsed from; it takes no part in
+    equality or repr.  The element analysis and the abstractions read
+    ``text``, so the two must agree: build structures with
+    ``parse_structure``, the only supported constructor, and never replace
+    one field without the other.
     """
 
     n: int
@@ -103,15 +106,11 @@ def parse_structure(text: str) -> SecondaryStructure:
     if bad:
         i = min(map(text.index, bad))
         raise IllegalCharacter(f"character {text[i]!r} at position {i + 1}")
-    try:
-        # behind a leading dot the matcher's indices are the 1-based vertices
-        pairing = match_brackets("." + text)
-    except UnbalancedBrackets:
-        match_brackets(text)  # raises again, at positions in text
-        raise
+    partner = match_brackets(text)
     if "()" in text:
         i = text.index("()") + 1
         raise AdjacentPair(f"pair ({i},{i + 1}) joins adjacent vertices")
+    pairing = [None] + [None if j is None else j + 1 for j in partner]
     return SecondaryStructure(len(text), tuple(pairing), text)
 
 
@@ -163,14 +162,11 @@ def _stacks(ss: SecondaryStructure) -> list:
         i, last = run.start() + 1, run.end()
         while i <= last:
             j = pairing[i]
-            # partners fall strictly along a run, so they count down to the
-            # run's end exactly when the rest of the run is one stack
-            if pairing[last] == j + i - last:
-                k = last - i + 1
-            else:
-                k = 1
-                while pairing[i + k] == j - k:
-                    k += 1
+            # a run of openers is followed by ".", never ")", so the count
+            # down always stops inside the run
+            k = 1
+            while pairing[i + k] == j - k:
+                k += 1
             stacks.append(((i, j), k))
             i += k
     return stacks

@@ -21,8 +21,8 @@ formulas by a second route:
   product, against the package's linear recurrence.
 - poly_product_naive multiplies polynomials term by term, against the
   package's monomial shortcuts.
-- The structure pipeline by vertex: pairing_by_vertex parses a dot-bracket
-  string with its own bracket stack, and analyze_elements_by_vertex,
+- The structure pipeline by vertex: pairing_by_vertex maps the package's
+  bracket matcher to 1-based vertices directly, and analyze_elements_by_vertex,
   island_text_by_vertex and pi_prime_text_by_vertex read only that pairing,
   one vertex at a time, against the package's stack-level walk over the
   parsed text.  check_island_text is the island-diagram validation with a
@@ -40,8 +40,8 @@ from shapeforge.errors import (
     IllegalCharacter,
     NonUnitConstantTerm,
     SelfCheckFailure,
-    UnbalancedBrackets,
 )
+from shapeforge.structures import match_brackets
 
 
 def pascal_binomial(n, k):
@@ -353,26 +353,6 @@ def poly_product_naive(a, b):
 # the structure pipeline, one vertex at a time
 
 
-def _match_by_stack(text, open_ch="(", close_ch=")"):
-    """Partner index of every bracket, None elsewhere, by one bracket stack;
-    raises UnbalancedBrackets at the first unmatched closer, or else at the
-    last unmatched opener (1-based positions)."""
-    partner = [None] * len(text)
-    stack = []
-    for i, ch in enumerate(text):
-        if ch == open_ch:
-            stack.append(i)
-        elif ch == close_ch:
-            if not stack:
-                raise UnbalancedBrackets(f"unmatched {close_ch!r} at position {i + 1}")
-            j = stack.pop()
-            partner[i] = j
-            partner[j] = i
-    if stack:
-        raise UnbalancedBrackets(f"unmatched {open_ch!r} at position {stack[-1] + 1}")
-    return partner
-
-
 def pairing_by_vertex(text):
     """The 1-based pairing tuple of a dot-bracket string (entry 0 unused),
     raising IllegalCharacter, UnbalancedBrackets or AdjacentPair in that
@@ -381,7 +361,7 @@ def pairing_by_vertex(text):
     if bad:
         i = min(map(text.index, bad))
         raise IllegalCharacter(f"character {text[i]!r} at position {i + 1}")
-    partner = _match_by_stack(text)
+    partner = match_brackets(text)
     if "()" in text:
         i = text.index("()") + 1
         raise AdjacentPair(f"pair ({i},{i + 1}) joins adjacent vertices")
@@ -536,7 +516,7 @@ def check_island_text(t):
     bad = set(t) - set("()_")
     if bad:
         raise IllegalCharacter(f"island diagram characters {sorted(bad)}")
-    partner = _match_by_stack(t)
+    partner = match_brackets(t)
     if t.startswith("_") or t.endswith("_"):
         raise ValueError(f"island diagram has a tail blank: {t!r}")
     if "__" in t:
