@@ -34,7 +34,8 @@ innermost open pair) always holds at least two trees: a trailing leaf comes
 from U exactly when it is the second of two.  D closes such a pair while B
 wraps a single group, so a pair's child count tells B from D.  Every
 matched string thus has exactly one preimage, and decoding never fails on
-one.
+one.  So ``encode1``, ``decode1`` and ``decode2`` check only their input
+and build their results without the ``PiShape`` and ``LatticePath`` checks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
     ResourceGuardExceeded,
     UnbalancedBrackets,
 )
-from .structures import IslandDiagram, PiShape, island_texts, match_brackets
+from .structures import IslandDiagram, PiShape, _built, island_texts, match_brackets
 
 
 class PathKind(Enum):
@@ -199,7 +200,7 @@ def encode1(path: LatticePath) -> PiShape:
     if path.kind is not PathKind.MOTZKIN1:
         raise ValueError("encode1 expects a Motzkin path")
     s = _encode_steps(path.steps)
-    return PiShape(s.replace("(", "[").replace(")", "]"))
+    return _built(PiShape, text=s.replace("(", "[").replace(")", "]"))
 
 
 def _decode_steps(s: str, opener: str, flat: str) -> str:
@@ -227,14 +228,14 @@ def decode2(s: str) -> LatticePath:
     match_brackets(s)
     if not s:
         raise UnbalancedBrackets("decode2 needs at least one pair")
-    return LatticePath(PathKind.MOTZKIN2, _decode_steps(s, "(", "R"))
+    return _built(LatticePath, kind=PathKind.MOTZKIN2, steps=_decode_steps(s, "(", "R"))
 
 
 def decode1(shape: PiShape | str) -> LatticePath:
     """Invert encode1; raises DirectlyNested when the input is not a pi shape."""
     if not isinstance(shape, PiShape):
         shape = PiShape(shape)
-    return LatticePath(PathKind.MOTZKIN1, _decode_steps(shape.text, "[", "H"))
+    return _built(LatticePath, kind=PathKind.MOTZKIN1, steps=_decode_steps(shape.text, "[", "H"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ innermost pair closes a loop, and unpaired runs, islands and external
 components are found by string searches on the parsed text.  The bracket
 matcher itself stays a per-character loop; it serves the short bracket
 strings of paths and shapes too.
+
+The shape constructors check text from outside the program.  The
+abstractions build shapes that are valid by construction with ``_built``,
+which skips those checks rather than re-matching what was just derived.
 """
 
 from __future__ import annotations
@@ -106,12 +110,14 @@ def parse_structure(text: str) -> SecondaryStructure:
     if bad:
         i = min(map(text.index, bad))
         raise IllegalCharacter(f"character {text[i]!r} at position {i + 1}")
-    partner = match_brackets(text)
+    try:
+        pairing = tuple(match_brackets("." + text))  # vertex i at index i
+    except UnbalancedBrackets:
+        match_brackets(text)  # raises with the text's own positions
     if "()" in text:
         i = text.index("()") + 1
         raise AdjacentPair(f"pair ({i},{i + 1}) joins adjacent vertices")
-    pairing = [None] + [None if j is None else j + 1 for j in partner]
-    return SecondaryStructure(len(text), tuple(pairing), text)
+    return SecondaryStructure(len(text), pairing, text)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +324,17 @@ class PiShape:
             raise DirectlyNested(f"directly nested pair at {nested[0]} in {t!r}")
 
 
+def _built(cls, **values):
+    """cls(**values) without ``__post_init__``: for results valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def to_island_diagram(ss: SecondaryStructure) -> IslandDiagram:
     """Drop tails and compress every unpaired run between islands to "_"."""
-    return IslandDiagram(_UNPAIRED_RUNS.sub("_", ss.text.strip(".")))
+    return _built(IslandDiagram, text=_UNPAIRED_RUNS.sub("_", ss.text.strip(".")))
 
 
 _BRACKETS_TO_SQUARE = bytes.maketrans(b"()", b"[]")
@@ -333,7 +347,7 @@ def to_pi_prime(ss: SecondaryStructure) -> PiPrimeShape:
         # blank all but the outermost pair; vertex v sits at text[v - 1]
         text[i:i + k - 1] = text[j - k:j - 1] = b"x" * (k - 1)
     kept = text.translate(_BRACKETS_TO_SQUARE, b"x").decode("ascii")
-    return PiPrimeShape(_UNPAIRED_RUNS.sub("_", kept))
+    return _built(PiPrimeShape, text=_UNPAIRED_RUNS.sub("_", kept))
 
 
 def to_pi(shape: PiPrimeShape) -> PiShape:
@@ -351,7 +365,7 @@ def to_pi(shape: PiPrimeShape) -> PiShape:
     drop = set()
     for i in _directly_nested(partner):
         drop.update((i + 1, partner[i + 1]))
-    return PiShape("".join(ch for k, ch in enumerate(s) if k not in drop))
+    return _built(PiShape, text="".join(ch for k, ch in enumerate(s) if k not in drop))
 
 
 def pi_stats(shape: PiShape) -> PiStats:

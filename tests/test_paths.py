@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import balanced_strings, count_by, motzkin_paths
 from shapeforge import (
+    LatticePath,
     PathKind,
+    PiShape,
     decode1,
     decode2,
     decorate_islands,
@@ -179,6 +181,7 @@ def test_deep_strings_do_not_overflow_the_stack():
     wide = "[" + "[]" * 2000 + "]"
     path = decode1(wide)
     assert encode1(path).text == wide
+    assert LatticePath(M1, path.steps) == path
 
 
 def _random_steps(rng, n, alphabet):
@@ -219,26 +222,43 @@ def test_round_trip_of_1e5_steps_is_linear(kind, shape):
     assert len(encoded) == 2 * (n + 1)
     assert decoded == path
     assert elapsed < 5.0, f"{shape} round trip took {elapsed:.2f} s of CPU"
+    # the results are built unchecked; the checked constructors accept them
+    assert LatticePath(kind, decoded.steps) == decoded
+    if kind is M1:
+        assert PiShape(encoded) == encode1(path)
 
 
 @st.composite
-def random_m2_steps(draw):
+def random_motzkin_steps(draw, flats):
     n = draw(st.integers(min_value=0, max_value=30))
     steps = []
     h = 0
     for _ in range(n):
-        ch = draw(st.sampled_from("URB" if h == 0 else "UDRB"))
+        ch = draw(st.sampled_from("U" + flats if h == 0 else "UD" + flats))
         steps.append(ch)
         h += (ch == "U") - (ch == "D")
     steps.extend("D" * h)
     return "".join(steps)
 
 
-@given(random_m2_steps())
+@given(random_motzkin_steps("RB"))
 @settings(max_examples=60, deadline=None)
 def test_encode2_round_trip_property(steps):
     path = parse_path(steps, M2)
-    assert decode2(encode2(path)) == path
+    out = decode2(encode2(path))
+    assert LatticePath(M2, out.steps) == out
+    assert out == path
+
+
+@given(random_motzkin_steps("H"))
+@settings(max_examples=60, deadline=None)
+def test_encode1_round_trip_property(steps):
+    path = parse_path(steps, M1)
+    shape = encode1(path)
+    assert PiShape(shape.text) == shape
+    out = decode1(shape)
+    assert LatticePath(M1, out.steps) == out
+    assert out == path
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +18,16 @@ from oracles import (
 from shapeforge import (
     ElementReport,
     IslandDiagram,
+    LatticePath,
+    PathKind,
     PiPrimeShape,
     PiShape,
     analyze_elements,
+    decode1,
+    decode2,
+    encode1,
     generate_island_diagrams,
+    parse_path,
     parse_structure,
     pi_stats,
     to_island_diagram,
@@ -33,6 +39,8 @@ from shapeforge.errors import (
     DirectlyNested,
     EmptyResult,
     IllegalCharacter,
+    NegativeHeight,
+    NonzeroFinalHeight,
     ResourceGuardExceeded,
     UnbalancedBrackets,
 )
@@ -195,7 +203,9 @@ def test_to_pi_matches_the_until_stable_loop():
             s = base.replace("(", "[").replace(")", "]")
             # a blank after every opener separates all nestings
             prime = PiPrimeShape(s.replace("[", "[_"))
-            assert to_pi(prime).text == _to_pi_until_stable(s), s
+            pi = to_pi(prime)
+            assert pi.text == _to_pi_until_stable(s), s
+            assert PiShape(pi.text) == pi
 
 
 def test_pi_empty_errors():
@@ -227,6 +237,42 @@ def test_shape_validation():
         IslandDiagram("((_)")
     with pytest.raises(IllegalCharacter):
         IslandDiagram("(_x)")
+
+
+# every producer that builds its result without the constructor's checks:
+# (built value, the same value checked, its text field, a bad text, its error)
+_BUILT = {
+    "to_island_diagram": (lambda: to_island_diagram(parse_structure("..((...)..).")),
+                          lambda: IslandDiagram("((_)_)"), "text", "((_)", UnbalancedBrackets),
+    "to_pi_prime": (lambda: to_pi_prime(parse_structure(".((...)..((...)))")),
+                    lambda: PiPrimeShape("_[[_]_[_]]"), "text", "[[_]]", DirectlyNested),
+    "to_pi": (lambda: to_pi(PiPrimeShape("_[[_]_[[_]_]]")),
+              lambda: PiShape("[[][]]"), "text", "[[]]", DirectlyNested),
+    "encode1": (lambda: encode1(parse_path("UHD", PathKind.MOTZKIN1)),
+                lambda: PiShape("[[][][]]"), "text", "[]x", IllegalCharacter),
+    "decode1": (lambda: decode1("[[][]]"),
+                lambda: LatticePath(PathKind.MOTZKIN1, "UD"), "steps", "DU", NegativeHeight),
+    "decode2": (lambda: decode2("(())"),
+                lambda: LatticePath(PathKind.MOTZKIN2, "B"), "steps", "U", NonzeroFinalHeight),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(_BUILT))
+def test_built_values_behave_like_checked_ones(producer):
+    make_built, make_checked, name, bad, error = _BUILT[producer]
+    built, checked = make_built(), make_checked()
+    assert type(built) is type(checked)
+    assert built == checked and checked == built
+    assert hash(built) == hash(checked)
+    assert repr(built) == repr(checked)
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, name, getattr(checked, name))
+    with pytest.raises(FrozenInstanceError):
+        delattr(built, name)
+    # replace() goes through the constructor, so its checks run again
+    with pytest.raises(error):
+        replace(built, **{name: bad})
+    assert replace(built, **{name: getattr(checked, name)}) == checked
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +401,17 @@ def _assert_matches_by_vertex(text):
     rep, want = analyze_elements(ss), analyze_elements_by_vertex(pairing)
     for f in fields(ElementReport):
         assert getattr(rep, f.name) == getattr(want, f.name), (f.name, text[:60])
-    assert to_island_diagram(ss).text == island_text_by_vertex(pairing)
+    island = to_island_diagram(ss)
+    assert island.text == island_text_by_vertex(pairing)
     prime = to_pi_prime(ss)
     assert prime.text == pi_prime_text_by_vertex(pairing)
-    # to_pi itself is unchanged, so equal pi-prime texts give equal pi shapes
+    # the shapes are built without their checks; the checked constructors
+    # must accept every one of them
+    assert IslandDiagram(island.text) == island
+    assert PiPrimeShape(prime.text) == prime
     if "(" in text:
-        to_pi(prime)
+        pi = to_pi(prime)
+        assert PiShape(pi.text) == pi
     else:
         with pytest.raises(EmptyResult):
             to_pi(prime)
