@@ -260,10 +260,14 @@ def _cmd_count(args) -> Doc:
 
 def _cmd_verify(args) -> Doc:
     names = IDENTITY_NAMES if args.name == "all" else (args.name,)
+    if args.order is not None:
+        _require("island_gf_forms_agree" in names,
+                 f"--order bounds island_gf_forms_agree only, not {args.name}")
+        _require(args.bound is None, "give island_gf_forms_agree one bound: --n or --order")
     bounds = {}
     for name in names:
         bound, flag = args.bound, "n"
-        if bound is None and name == "island_gf_forms_agree" and args.order is not None:
+        if name == "island_gf_forms_agree" and args.order is not None:
             bound, flag = args.order, "order"
         if bound is not None:
             minimum, _, ceiling = IDENTITY_BOUNDS[name]

@@ -4,10 +4,14 @@ A TruncatedSeries holds the coefficients of a series in one variable up
 to a stated order: ints, or Polys in the other variables.  Each generating
 function here is algebraic, hence D-finite, so its coefficients follow a
 short linear recurrence whose multipliers are polynomials in the index.
-Every expansion runs such a recurrence in integers, and each of its
-divisions is exact: a remainder raises DivisibilityFailure.  There is no
-series square root, inverse or product.  Fraction appears only in the
-level-0 GF at a rational t, where a coefficient is not integral.
+The Motzkin GF, the island closed form and the level-0 GF run such a
+recurrence in integers, and each of its divisions is exact: a remainder
+raises DivisibilityFailure.  The Narayana and 2-Motzkin forms of the
+island GF, and both sides of Coker's identities, are finite sums of
+c * x^a * (1 + y)^b terms, each power read off a row of Pascal's triangle
+into one term dict.  There is no series square root, inverse or product,
+and no product of Polys outside the recurrences.  Fraction appears only
+in the level-0 GF at a rational t, where a coefficient is not integral.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 
 from .counting import ExactCounts, _motzkin_numbers
 from .errors import DivisibilityFailure, ResourceGuardExceeded, UnknownIdentity
-from .poly import Poly
+from .poly import Poly, _build
 
 
 class TruncatedSeries:
@@ -90,11 +94,20 @@ def expand_motzkin_gf(order: int = 64, with_v: bool = True,
     return TruncatedSeries("w", coeffs, order, Poly.zero(("v",)))
 
 
-def _powers(base: Poly, n: int) -> list:
-    out = [Poly.one(base.variables)]
-    for _ in range(n):
-        out.append(out[-1] * base)
-    return out
+def _binomial_sum(variables: tuple, triples) -> Poly:
+    """The Poly sum of c * m * (1 + v)^b over (c, exponents of m, b) triples,
+    v the last variable, each power expanded from one row of Pascal's
+    triangle straight into the term dict."""
+    triples = list(triples)
+    rows = [[1]]
+    for _ in range(max((b for _, _, b in triples), default=0)):
+        rows.append([1] + [a + b for a, b in zip(rows[-1], rows[-1][1:])] + [1])
+    terms: dict[tuple, int] = {}
+    for c, (*head, e), b in triples:
+        for j, r in enumerate(rows[b]):
+            key = (*head, e + j)
+            terms[key] = terms.get(key, 0) + c * r
+    return _build(variables, terms)
 
 
 ISLAND_GF_FORMS = ("narayana", "closed", "motzkin2")
@@ -107,11 +120,14 @@ def expand_island_gf(order: int = 24, form: str = "closed",
 
     Coefficients are polynomials in x (hairpins) and y (islands); the
     coefficient of x^h y^I z^ell equals island_count(h, I, ell).  Three
-    equivalent routes are provided: a direct Narayana sum, the closed form,
-    and the 2-Motzkin step-weight sum.  The closed form is the root of a
-    quadratic in F, expanded by the three-term linear recurrence of that
-    algebraic root in integers, with no square root and no product of two
-    series coefficients.
+    equivalent routes are provided.  The "narayana" and "motzkin2" forms
+    both sum w_h x^h y^(h+1) (1+y)^(2 ell-1-h) over h, each power of 1+y
+    from a Pascal row.  The Narayana sum has w_h = N(ell, h).  The 2-Motzkin
+    step-weight sum, its flat step (1+y)(1+y+xy) expanded binomially, has
+    w_h = sum_u M(ell-1, u) C(ell-1-2u, h-1-u), M(n, u) = motzkin_poly_coeff.
+    The "closed" form is the root of a quadratic in F, expanded by the
+    three-term linear recurrence of that algebraic root in integers, with
+    no square root and no product of two series coefficients.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -127,29 +143,21 @@ def expand_island_gf(order: int = 24, form: str = "closed",
     y = Poly.var(variables, "y")
     oy = one + y
 
-    if form == "narayana":
-        oy_pows = _powers(oy, max(0, 2 * order - 2))
+    if form != "closed":
+        # coefficient ell is the sum over h of w_h x^h y^(h+1) (1+y)^(2 ell-1-h)
         coeffs = [zero]
         for ell in range(1, order + 1):
-            acc = zero
-            for h in range(1, ell + 1):
-                acc = acc + counts.narayana(ell, h) * (x ** h) * (y ** (h + 1)) * oy_pows[2 * ell - 1 - h]
-            coeffs.append(acc)
-        return TruncatedSeries("z", coeffs, order, zero)
-
-    if form == "motzkin2":
-        up_weight = x * y * oy ** 3            # new bracket pair plus hairpin
-        flat_weight = oy * (oy + x * y)        # blue nesting or red hairpin
-        up_pows = _powers(up_weight, order // 2 + 1)
-        flat_pows = _powers(flat_weight, max(0, order - 1))
-        start = x * y * y
-        coeffs = [zero]
-        for ell in range(1, order + 1):
-            n = ell - 1
-            acc = zero
-            for u in range(n // 2 + 1):
-                acc = acc + counts.motzkin_poly_coeff(n, u) * up_pows[u] * flat_pows[n - 2 * u]
-            coeffs.append(start * acc)
+            if form == "narayana":
+                weights = [counts.narayana(ell, h) for h in range(1, ell + 1)]
+            else:
+                # u up steps x y (1+y)^3 and j red flat steps x y of the
+                # n - 2u flat steps (1+y)(1+y+xy), after the start x y^2
+                n = ell - 1
+                motzkin = [counts.motzkin_poly_coeff(n, u) for u in range(n // 2 + 1)]
+                weights = [sum(m * counts.binomial(n - 2 * u, h - 1 - u)
+                               for u, m in enumerate(motzkin)) for h in range(1, ell + 1)]
+            coeffs.append(_binomial_sum(variables, ((w, (h, h + 1), 2 * ell - 1 - h)
+                                                    for h, w in enumerate(weights, 1))))
         return TruncatedSeries("z", coeffs, order, zero)
 
     # closed form: F = (1 - c1 z - sqrt(1 - 2 c1 z + c2 z^2)) y / (2 (1+y)^3 z)
@@ -371,32 +379,27 @@ _XVARS = ("x",)
 
 
 def _coker1_sides(n: int, counts: ExactCounts) -> tuple[Poly, Poly]:
-    x = Poly.var(_XVARS, "x")
-    one = Poly.one(_XVARS)
-    lhs = Poly.zero(_XVARS)
-    for k in range(1, n + 1):
-        lhs = lhs + counts.narayana(n, k) * x ** (k - 1)
-    rhs = Poly.zero(_XVARS)
-    for k in range((n - 1) // 2 + 1):
-        rhs = rhs + counts.motzkin_poly_coeff(n - 1, k) * x ** k * (one + x) ** (n - 2 * k - 1)
+    lhs = _binomial_sum(_XVARS, ((counts.narayana(n, k), (k - 1,), 0) for k in range(1, n + 1)))
+    rhs = _binomial_sum(_XVARS, ((counts.motzkin_poly_coeff(n - 1, k), (k,), n - 2 * k - 1)
+                                 for k in range((n - 1) // 2 + 1)))
     return lhs, rhs
 
 
 def _coker2_sides(n: int, counts: ExactCounts) -> tuple[Poly, Poly]:
-    x = Poly.var(_XVARS, "x")
-    one = Poly.one(_XVARS)
-    lhs = Poly.zero(_XVARS)
-    for k in range(1, n + 1):
-        lhs = lhs + counts.narayana(n, k) * x ** (2 * (k - 1)) * (one + x) ** (2 * (n - k))
-    rhs = Poly.zero(_XVARS)
-    for k in range(1, n + 1):
-        rhs = rhs + counts.catalan(k) * counts.binomial(n - 1, k - 1) * (x * (one + x)) ** (k - 1)
+    lhs = _binomial_sum(_XVARS, ((counts.narayana(n, k), (2 * k - 2,), 2 * n - 2 * k)
+                                 for k in range(1, n + 1)))
+    rhs = _binomial_sum(_XVARS, ((counts.catalan(k) * counts.binomial(n - 1, k - 1),
+                                  (k - 1,), k - 1) for k in range(1, n + 1)))
     return lhs, rhs
 
 
 # smallest, default and largest bound per identity: the smallest is the
 # first that checks an instance, and each ceiling finishes within about a
-# second of CPU and 45 MB on a 2-vCPU machine
+# second of CPU and 45 MB on a 2-vCPU machine.  The ceilings were sized when
+# the island GF sums and Coker's identities multiplied Polys; at them
+# narayana_motzkin, coker1, coker2 and island_gf_forms_agree now take
+# 0.02-0.03, 0.014-0.024, 0.015-0.024 and 0.03-0.06 s of CPU (best of 5
+# calls, CPython 3.11, a CPU whose speed drifts up to 1.8x)
 IDENTITY_BOUNDS = {
     "narayana_motzkin": (1, 12, 28),
     "coker1": (1, 12, 60),

@@ -16,7 +16,11 @@ formulas by a second route:
   run linear recurrences instead.
 - motzkin_gf_by_sqrt and island_gf_by_sqrt solve the quadratics of the
   Motzkin and island GFs by the series square root and long division,
-  against the package's recurrences.  level0_gf_by_inverse builds the
+  against the package's recurrences.
+- island_gf_by_products builds the "narayana" and "motzkin2" forms of the
+  island GF, and coker1_sides_by_products and coker2_sides_by_products
+  both sides of Coker's identities, from sums of Poly products and powers,
+  against the package's expansion of each term from Pascal rows.  level0_gf_by_inverse builds the
   level-0 GF from motzkin_gf_by_sqrt, two series inverses and a series
   product, against the package's linear recurrence.
 - poly_product_naive multiplies polynomials term by term, against the
@@ -316,6 +320,82 @@ def island_gf_by_sqrt(order):
     shifted = shift_down([a - b for a, b in zip(linear, series_sqrt(radicand))], 1)
     divisor = 2 * oy ** 3
     return [zero] + [poly_exact_div(y * c, divisor) for c in shifted[1:]]
+
+
+def _powers(base, n):
+    out = [Poly.one(base.variables)]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
+
+
+def island_gf_by_products(order, form, counts):
+    """The coefficients of the island GF in z to the given order by the
+    "narayana" or "motzkin2" step-weight sum, each term a product of Polys:
+    N(ell, h) x^h y^(h+1) (1+y)^(2 ell-1-h), or x y^2 times
+    M(ell-1, u) (x y (1+y)^3)^u ((1+y)(1+y+xy))^(ell-1-2u)."""
+    variables = ("x", "y")
+    zero = Poly.zero(variables)
+    one = Poly.one(variables)
+    x = Poly.var(variables, "x")
+    y = Poly.var(variables, "y")
+    oy = one + y
+
+    if form == "narayana":
+        oy_pows = _powers(oy, max(0, 2 * order - 2))
+        coeffs = [zero]
+        for ell in range(1, order + 1):
+            acc = zero
+            for h in range(1, ell + 1):
+                acc = acc + counts.narayana(ell, h) * (x ** h) * (y ** (h + 1)) * oy_pows[2 * ell - 1 - h]
+            coeffs.append(acc)
+        return coeffs
+
+    up_weight = x * y * oy ** 3            # new bracket pair plus hairpin
+    flat_weight = oy * (oy + x * y)        # blue nesting or red hairpin
+    up_pows = _powers(up_weight, order // 2 + 1)
+    flat_pows = _powers(flat_weight, max(0, order - 1))
+    start = x * y * y
+    coeffs = [zero]
+    for ell in range(1, order + 1):
+        n = ell - 1
+        acc = zero
+        for u in range(n // 2 + 1):
+            acc = acc + counts.motzkin_poly_coeff(n, u) * up_pows[u] * flat_pows[n - 2 * u]
+        coeffs.append(start * acc)
+    return coeffs
+
+
+_XVARS = ("x",)
+
+
+def coker1_sides_by_products(n, counts):
+    """Both sides of Coker's first identity as sums of Poly products:
+    sum_k N(n, k) x^(k-1) and sum_k M(n-1, k) x^k (1+x)^(n-2k-1)."""
+    x = Poly.var(_XVARS, "x")
+    one = Poly.one(_XVARS)
+    lhs = Poly.zero(_XVARS)
+    for k in range(1, n + 1):
+        lhs = lhs + counts.narayana(n, k) * x ** (k - 1)
+    rhs = Poly.zero(_XVARS)
+    for k in range((n - 1) // 2 + 1):
+        rhs = rhs + counts.motzkin_poly_coeff(n - 1, k) * x ** k * (one + x) ** (n - 2 * k - 1)
+    return lhs, rhs
+
+
+def coker2_sides_by_products(n, counts):
+    """Both sides of Coker's second identity as sums of Poly products:
+    sum_k N(n, k) x^(2k-2) (1+x)^(2n-2k) and
+    sum_k C_k C(n-1, k-1) (x (1+x))^(k-1)."""
+    x = Poly.var(_XVARS, "x")
+    one = Poly.one(_XVARS)
+    lhs = Poly.zero(_XVARS)
+    for k in range(1, n + 1):
+        lhs = lhs + counts.narayana(n, k) * x ** (2 * (k - 1)) * (one + x) ** (2 * (n - k))
+    rhs = Poly.zero(_XVARS)
+    for k in range(1, n + 1):
+        rhs = rhs + counts.catalan(k) * counts.binomial(n - 1, k - 1) * (x * (one + x)) ** (k - 1)
+    return lhs, rhs
 
 
 def level0_gf_by_inverse(order, t=None):

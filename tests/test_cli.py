@@ -257,6 +257,30 @@ def test_verify_refuses_bounds_above_its_guard(capsys):
     assert "island_gf_forms_agree" in err
 
 
+@pytest.mark.parametrize("name", sorted(set(IDENTITY_BOUNDS) - {"island_gf_forms_agree"}))
+def test_verify_refuses_order_for_identities_without_a_series_order(capsys, name):
+    code, out, err = run(capsys, "verify", name, "--order", "5")
+    assert (code, out) == (2, "")
+    assert "--order" in err and name in err
+
+
+@pytest.mark.parametrize("name", ["island_gf_forms_agree", "all"])
+def test_verify_refuses_both_n_and_order_for_the_gf_check(capsys, name):
+    code, out, err = run(capsys, "verify", name, "--n", "3", "--order", "5")
+    assert (code, out) == (2, "")
+    assert "--n or --order" in err
+
+
+def test_verify_order_bounds_the_gf_check(capsys):
+    code, out, err = run(capsys, "verify", "island_gf_forms_agree", "--order", "4")
+    assert (code, out, err) == (0, "island_gf_forms_agree: pass (z order 0..4)\n", "")
+    # under `all` the order bounds the gf check and the rest keep their defaults
+    code, out, err = run(capsys, "verify", "all", "--order", "4")
+    assert (code, err) == (0, "")
+    assert "island_gf_forms_agree: pass (z order 0..4)\n" in out
+    assert "coker1: pass (n = 1..12)\n" in out
+
+
 @pytest.mark.parametrize("name", sorted(IDENTITY_BOUNDS))
 def test_verify_refuses_bounds_below_the_identity_minimum(capsys, name):
     minimum = IDENTITY_BOUNDS[name][0]

@@ -12,6 +12,9 @@ import shapeforge.asymptotics as asymptotics_module
 import shapeforge.poly as poly_module
 import shapeforge.series as series_module
 from oracles import (
+    coker1_sides_by_products,
+    coker2_sides_by_products,
+    island_gf_by_products,
     island_gf_by_sqrt,
     level0_gf_by_inverse,
     motzkin_gf_by_sqrt,
@@ -28,6 +31,7 @@ from oracles import (
 )
 from shapeforge import (
     IDENTITY_NAMES,
+    ExactCounts,
     ISLAND_GF_FORMS,
     Poly,
     TruncatedSeries,
@@ -235,6 +239,14 @@ def test_island_gf_closed_form_matches_the_sqrt_of_its_quadratic():
     for order in range(13):
         assert list(expand_island_gf(order, "closed").coeffs) == island_gf_by_sqrt(order), order
 
+
+
+@pytest.mark.parametrize("form", ["narayana", "motzkin2"])
+def test_island_gf_sums_match_their_poly_products(form, counts):
+    # each term expanded from a Pascal row, against sums of Poly products
+    oracle = island_gf_by_products(24, form, counts)
+    for order in range(25):
+        assert list(expand_island_gf(order, form, counts).coeffs) == oracle[: order + 1], order
 
 
 def test_island_gf_guard():
@@ -447,6 +459,29 @@ def test_identities_pass(name, counts):
     assert report.passed, report.counterexample
     assert report.counterexample is None
     assert report.to_json()["status"] == "pass"
+
+
+def test_coker_sides_match_their_poly_products(counts):
+    for n in range(1, series_module.IDENTITY_BOUNDS["coker1"][2] + 1):
+        assert series_module._coker1_sides(n, counts) == coker1_sides_by_products(n, counts), n
+    for n in range(1, series_module.IDENTITY_BOUNDS["coker2"][2] + 1):
+        assert series_module._coker2_sides(n, counts) == coker2_sides_by_products(n, counts), n
+
+
+class _OneWrongNarayana(ExactCounts):
+    def narayana(self, n, k):
+        return super().narayana(n, k) + ((n, k) == (7, 3))
+
+
+@pytest.mark.parametrize("name", ["narayana_motzkin", "coker1", "coker2",
+                                  "island_gf_forms_agree"])
+def test_identities_fail_on_one_wrong_narayana_number(name):
+    # the shared expansion makes neither side a copy of the other: a wrong
+    # N(7, 3) on one side shows at that instance and no other
+    report = verify_identity(name, 9, _OneWrongNarayana())
+    instance = "ell=7" if name in ("narayana_motzkin", "island_gf_forms_agree") else "n=7"
+    assert [desc for desc, ok in report.instances if not ok] == [instance]
+    assert report.counterexample == instance
 
 
 def test_unknown_identity():
