@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .counting import ExactCounts
-from .errors import LargeRemainder, NoRootFound, UnsupportedTarget
+from .errors import ASYM_TARGETS, LargeRemainder, NoRootFound, UnsupportedTarget
 from .series import CompatibleTable, compatible_counts
 
 SQRT_PI = math.sqrt(math.pi)
@@ -254,16 +254,6 @@ def _log_asym_pi_r0(lam: int, nu: int, r0: int, sing: DominantSingularity) -> fl
             - (r0 + 1) * math.log(1 + z * z)
         )
     return nu * math.log(1 / z) + log_const - 1.5 * math.log(nu)
-
-
-ASYM_TARGETS = (
-    "motzkin_number",
-    "level0_total",
-    "level0_weighted_sum",
-    "pi_total",
-    "pi_r0",
-    "pi_weighted_sum",
-)
 
 
 @dataclass(frozen=True)

@@ -30,31 +30,9 @@ import os
 import sys
 from typing import NamedTuple
 
-from .asymptotics import (
-    ASYM_TARGETS,
-    asym_count,
-    asym_pi,
-    asym_pi_expected,
-    convergence_report,
-    deflate,
-    find_zeta,
-)
+from . import asymptotics, paths, series, structures
 from .counting import ExactCounts
-from .errors import ResourceGuardExceeded, ShapeforgeError
-from .paths import PathKind, decode1, decode2, encode1, encode2, parse_path
-from .series import (
-    IDENTITY_BOUNDS,
-    IDENTITY_NAMES,
-    compatible_counts,
-    verify_identity,
-)
-from .structures import (
-    analyze_elements,
-    parse_structure,
-    to_island_diagram,
-    to_pi,
-    to_pi_prime,
-)
+from .errors import ASYM_TARGETS, IDENTITY_NAMES, ResourceGuardExceeded, ShapeforgeError
 
 SCHEMA = "shapeforge/1"
 
@@ -155,13 +133,13 @@ def _check_size(command: str, flag: str, size: int, minimum: int, default_limit:
 
 
 def _cmd_validate(args) -> Doc:
-    ss = parse_structure(_read_text(args))
+    ss = structures.parse_structure(_read_text(args))
     return Doc({"length": ss.n, "pairs": ss.text.count("("), "value": "valid"})
 
 
 def _cmd_analyze(args) -> Doc:
-    ss = parse_structure(_read_text(args))
-    report = analyze_elements(ss)
+    ss = structures.parse_structure(_read_text(args))
+    report = structures.analyze_elements(ss)
     counts = {
         "hairpins": len(report.hairpins),
         "bulges": len(report.bulges),
@@ -188,13 +166,13 @@ def _cmd_analyze(args) -> Doc:
 
 
 def _cmd_abstract(args) -> Doc:
-    ss = parse_structure(_read_text(args))
+    ss = structures.parse_structure(_read_text(args))
     if args.level == "island":
-        shape = to_island_diagram(ss)
+        shape = structures.to_island_diagram(ss)
     elif args.level == "pi-prime":
-        shape = to_pi_prime(ss)
+        shape = structures.to_pi_prime(ss)
     else:
-        shape = to_pi(to_pi_prime(ss))
+        shape = structures.to_pi(structures.to_pi_prime(ss))
     return Doc({"value": shape.text})
 
 
@@ -203,13 +181,13 @@ def _cmd_bijection(args) -> Doc:
     if text is None:
         raise UsageError("provide --path TEXT (or --in TEXT)")
     if args.direction == "encode2":
-        out = encode2(parse_path(text, PathKind.MOTZKIN2))
+        out = paths.encode2(paths.parse_path(text, paths.PathKind.MOTZKIN2))
     elif args.direction == "encode1":
-        out = encode1(parse_path(text, PathKind.MOTZKIN1)).text
+        out = paths.encode1(paths.parse_path(text, paths.PathKind.MOTZKIN1)).text
     elif args.direction == "decode2":
-        out = decode2(text).steps
+        out = paths.decode2(text).steps
     else:
-        out = decode1(text).steps
+        out = paths.decode1(text).steps
     return Doc({"value": out})
 
 
@@ -270,11 +248,11 @@ def _cmd_verify(args) -> Doc:
         if name == "island_gf_forms_agree" and args.order is not None:
             bound, flag = args.order, "order"
         if bound is not None:
-            minimum, _, ceiling = IDENTITY_BOUNDS[name]
+            minimum, _, ceiling = series.IDENTITY_BOUNDS[name]
             _check_size(f"verify {name}", flag, bound, minimum, ceiling)
         bounds[name] = bound
     counts = ExactCounts()
-    reports = [verify_identity(name, bound, counts) for name, bound in bounds.items()]
+    reports = [series.verify_identity(name, bound, counts) for name, bound in bounds.items()]
     code = 0 if all(r.passed for r in reports) else 1
     if args.format == "json":
         return Doc({"reports": [r.to_json() for r in reports]}, exit=code)
@@ -292,14 +270,14 @@ def _cmd_distribution(args) -> Doc:
         _require(args.n is not None, "level0 distribution needs --n")
         for flag, size in (("n", args.n), ("r0-max", args.r0_max)):
             _check_size("distribution level0", flag, size, 0, _LEVEL0_DISTRIBUTION_SIZE)
-        rows = convergence_report("level0", n=args.n, r0_max=args.r0_max)
+        rows = asymptotics.convergence_report("level0", n=args.n, r0_max=args.r0_max)
         fields = {"family": "level0", "n": args.n}
     else:
         _require(args.lam is not None and args.nu is not None,
                  "pi distribution needs --lambda and --nu")
         _check_size("distribution pi", "r0-max", args.r0_max, 0, 2000)
-        rows = convergence_report("pi", lam=args.lam, nu=args.nu,
-                                  r0_max=args.r0_max, limit=_guard(2000))
+        rows = asymptotics.convergence_report("pi", lam=args.lam, nu=args.nu,
+                                              r0_max=args.r0_max, limit=_guard(2000))
         fields = {"family": "pi", "lambda": args.lam, "nu": args.nu}
     return Doc(fields, ("r0", "exact", "asymptotic", "deviation"), rows)
 
@@ -307,14 +285,14 @@ def _cmd_distribution(args) -> Doc:
 def _cmd_asymptotics(args) -> Doc:
     if args.target == "zeta":
         _require(args.lam is not None, "zeta needs --lambda")
-        sing = deflate(args.lam, find_zeta(args.lam))
+        sing = asymptotics.deflate(args.lam, asymptotics.find_zeta(args.lam))
         return Doc({
             "lambda": args.lam,
             "zeta": sing.zeta,
             "parity": sing.parity,
             "cofactor_at_zeta": sing.cofactor_at_zeta,
-            "distribution_base": asym_pi(args.lam, 0, sing),
-            "expected_r0": asym_pi_expected(args.lam, sing),
+            "distribution_base": asymptotics.asym_pi(args.lam, 0, sing),
+            "expected_r0": asymptotics.asym_pi_expected(args.lam, sing),
         })
     needs = {
         "motzkin_number": ("n",),
@@ -332,7 +310,7 @@ def _cmd_asymptotics(args) -> Doc:
         _check_size(f"asymptotics {args.target}", "n", args.n, 1, _COUNT_SIZES["motzkin"][1])
     if args.target == "pi_r0":
         _check_size("asymptotics pi_r0", "r0", args.r0, 0, 2000)
-    report = asym_count(
+    report = asymptotics.asym_count(
         args.target,
         n=args.n,
         lam=args.lam,
@@ -356,7 +334,7 @@ def _cmd_asymptotics(args) -> Doc:
 def _cmd_compatible(args) -> Doc:
     if args.r0_max is not None:
         _check_size("compatible", "r0-max", args.r0_max, 0, 2000)
-    table = compatible_counts(args.lam, args.nu, limit=_guard(2000))
+    table = series.compatible_counts(args.lam, args.nu, limit=_guard(2000))
     r0_max = args.r0_max if args.r0_max is not None else table.r0_max
     rows = [(r0, table.count(r0, args.nu)) for r0 in range(r0_max + 1)]
     fields = {"lambda": args.lam, "nu": args.nu, "total": table.total(args.nu)}

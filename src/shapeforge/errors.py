@@ -1,4 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the names of the
+identities and asymptotic targets: the CLI parser offers them as choices
+without loading ``series`` or ``asymptotics``."""
+
+# the identities of series.verify_identity, each with a row in
+# series.IDENTITY_BOUNDS
+IDENTITY_NAMES = (
+    "narayana_motzkin",
+    "coker1",
+    "coker2",
+    "touchard",
+    "chu_vandermonde",
+    "parity_m0m1",
+    "pi_parity",
+    "island_gf_forms_agree",
+)
+
+# the targets of asymptotics.asym_count
+ASYM_TARGETS = (
+    "motzkin_number",
+    "level0_total",
+    "level0_weighted_sum",
+    "pi_total",
+    "pi_r0",
+    "pi_weighted_sum",
+)
 
 
 class ShapeforgeError(Exception):
@@ -53,7 +78,7 @@ class SelfCheckFailure(ShapeforgeError):
 
 
 class UnknownIdentity(ShapeforgeError):
-    """Requested identity name is not recognised."""
+    """Requested identity name is not in IDENTITY_NAMES."""
 
 
 class NoRootFound(ShapeforgeError):
@@ -67,7 +92,7 @@ class LargeRemainder(ShapeforgeError):
 
 
 class UnsupportedTarget(ShapeforgeError):
-    """Requested asymptotic target is not recognised."""
+    """Requested asymptotic target is not in ASYM_TARGETS."""
 
 
 class ResourceGuardExceeded(ShapeforgeError):

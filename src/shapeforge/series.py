@@ -22,7 +22,7 @@ from itertools import accumulate, islice
 from typing import Sequence
 
 from .counting import ExactCounts, _motzkin_numbers
-from .errors import DivisibilityFailure, ResourceGuardExceeded, UnknownIdentity
+from .errors import IDENTITY_NAMES, DivisibilityFailure, ResourceGuardExceeded, UnknownIdentity
 from .poly import Poly, _build
 
 
@@ -240,7 +240,7 @@ def _level0_gf_in_t(motzkin: list, order: int) -> TruncatedSeries:
         level = list(accumulate(rest))
         if level.pop():
             raise DivisibilityFailure("level0 gf: R(1) is nonzero, 1 - t does not divide R")
-        out.append(Poly(variables, {(k,): c for k, c in enumerate(level) if c}))
+        out.append(_build(variables, {(k,): c for k, c in enumerate(level)}))
     return TruncatedSeries("w", out, order, Poly.zero(variables))
 
 
@@ -393,13 +393,14 @@ def _coker2_sides(n: int, counts: ExactCounts) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-# smallest, default and largest bound per identity: the smallest is the
-# first that checks an instance, and each ceiling finishes within about a
-# second of CPU and 45 MB on a 2-vCPU machine.  The ceilings were sized when
-# the island GF sums and Coker's identities multiplied Polys; at them
-# narayana_motzkin, coker1, coker2 and island_gf_forms_agree now take
-# 0.02-0.03, 0.014-0.024, 0.015-0.024 and 0.03-0.06 s of CPU (best of 5
-# calls, CPython 3.11, a CPU whose speed drifts up to 1.8x)
+# smallest, default and largest bound per identity, in the order of
+# IDENTITY_NAMES: the smallest is the first that checks an instance, and
+# each ceiling finishes within about a second of CPU and 45 MB on a 2-vCPU
+# machine.  The ceilings were sized when the island GF sums and Coker's
+# identities multiplied Polys; at them narayana_motzkin, coker1, coker2 and
+# island_gf_forms_agree now take 0.02-0.03, 0.014-0.024, 0.015-0.024 and
+# 0.03-0.06 s of CPU (best of 5 calls, CPython 3.11, a CPU whose speed
+# drifts up to 1.8x)
 IDENTITY_BOUNDS = {
     "narayana_motzkin": (1, 12, 28),
     "coker1": (1, 12, 60),
@@ -410,8 +411,6 @@ IDENTITY_BOUNDS = {
     "pi_parity": (0, 50, 180),
     "island_gf_forms_agree": (0, 10, 18),
 }
-
-IDENTITY_NAMES = tuple(IDENTITY_BOUNDS)
 
 
 def verify_identity(name: str, bound: int | None = None,

@@ -317,6 +317,24 @@ def test_level0_gf_in_t_matches_the_inverse_route():
         assert all(type(c) is int for c in _scalars(g))
 
 
+def test_level0_gf_in_t_equals_its_checked_constructor_build(monkeypatch):
+    # each coefficient skips Poly's validation; with the validating
+    # constructor in its place the expansion must come out the same
+    fast = [expand_level0_gf(order) for order in range(201)]
+    built = []
+
+    def checked_build(variables, terms):
+        built.append(variables)
+        return Poly(variables, terms)
+
+    monkeypatch.setattr(series_module, "_build", checked_build)
+    checked = expand_level0_gf(200)
+    assert built == [("t",)] * 200  # every coefficient past the constant term
+    for order, g in enumerate(fast):
+        assert [(c.variables, c.terms) for c in g.coeffs] == \
+            [(c.variables, c.terms) for c in checked.coeffs[: order + 1]], order
+
+
 @pytest.mark.parametrize("t", LEVEL0_RATIONAL_TS, ids=str)
 def test_level0_gf_at_rational_t_matches_the_inverse_route(t):
     expected = [(c, type(c)) for c in level0_gf_by_inverse(150, t)]
@@ -448,6 +466,10 @@ def test_compatible_against_path_enumeration(lam, counts):
 
 # ---------------------------------------------------------------------------
 # identity suite
+
+
+def test_identity_bounds_follow_the_identity_names():
+    assert tuple(series_module.IDENTITY_BOUNDS) == IDENTITY_NAMES
 
 
 @pytest.mark.parametrize("name", IDENTITY_NAMES)
