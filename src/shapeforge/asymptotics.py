@@ -13,6 +13,11 @@ and a bisection to width 1e-12 give a bracket proven to hold the root.
 Floats appear only in the witness zeta and in the quantities derived from
 it; the deflated cofactor at zeta is the closed form -zeta p'(zeta), halved
 for odd lam.
+
+p is the discriminant of the shapes' generating function, so the exact pi
+counts come from S = sqrt(p) at one nu (series._pi_counts, O(nu) and O(nu)
+per row, no compatible_counts table) and zeta from its root; this module
+re-exports singular_polynomial from series.
 """
 
 from __future__ import annotations
@@ -24,21 +29,9 @@ from fractions import Fraction
 
 from .counting import ExactCounts
 from .errors import ASYM_TARGETS, LargeRemainder, NoRootFound, UnsupportedTarget
-from .series import CompatibleTable, compatible_counts
+from .series import _pi_counts, singular_polynomial
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def singular_polynomial(lam: int) -> list:
-    """Ascending coefficients of p(z); exponents collide when lam = 1."""
-    if lam < 1:
-        raise ValueError(f"lam must be positive, got {lam}")
-    coeffs = [0] * (2 * lam + 3)
-    coeffs[0] += 1
-    coeffs[lam + 1] -= 2
-    coeffs[lam + 3] -= 4
-    coeffs[2 * lam + 2] += 1
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -283,7 +276,6 @@ def _exp(logv: float) -> float:
 def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
                nu: int | None = None, r0: int | None = None,
                counts: ExactCounts | None = None,
-               table: CompatibleTable | None = None,
                sing: DominantSingularity | None = None,
                limit: int = 2000) -> AsymptoticReport:
     """Pair an exact count with its closed-form leading asymptotic.
@@ -317,20 +309,20 @@ def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
         if lam is None or nu is None or nu < 1:
             raise ValueError(f"{target} needs lam and nu >= 1")
         sing = _require_cofactor(lam, sing)
-        if table is None or table.lam != lam or table.nu_max < nu:
-            table = compatible_counts(lam, nu, counts, limit=limit)
+        wanted = (r0,) if target == "pi_r0" and r0 is not None else ()
+        total, weighted, rows = _pi_counts(lam, nu, wanted, limit)
         if target == "pi_total":
-            exact = table.total(nu)
+            exact = total
             log_asym = _log_asym_pi_total(lam, nu, sing)
             params = {"lam": lam, "nu": nu}
         elif target == "pi_weighted_sum":
-            exact = table.weighted_sum(nu)
+            exact = weighted
             log_asym = _log_asym_pi_weighted(lam, nu, sing)
             params = {"lam": lam, "nu": nu}
         else:
             if r0 is None:
                 raise ValueError("pi_r0 needs r0")
-            exact = table.count(r0, nu)
+            exact = rows[r0]
             log_asym = _log_asym_pi_r0(lam, nu, r0, sing)
             params = {"lam": lam, "nu": nu, "r0": r0}
 
@@ -349,12 +341,10 @@ def expected_level0(n: int, counts: ExactCounts | None = None) -> Fraction:
     return Fraction(counts.level0_weighted_sum(n), counts.motzkin_number(n))
 
 
-def expected_pi_r0(lam: int, nu: int, counts: ExactCounts | None = None,
-                   table: CompatibleTable | None = None) -> Fraction:
+def expected_pi_r0(lam: int, nu: int, counts: ExactCounts | None = None) -> Fraction:
     """Exact expected r0 over compatible pi shapes of backbone length nu."""
-    if table is None or table.lam != lam or table.nu_max < nu:
-        table = compatible_counts(lam, nu, counts)
-    return Fraction(table.weighted_sum(nu), table.total(nu))
+    total, weighted, _ = _pi_counts(lam, nu)
+    return Fraction(weighted, total)
 
 
 def convergence_report(family: str, *, n: int | None = None, lam: int | None = None,
@@ -379,13 +369,12 @@ def convergence_report(family: str, *, n: int | None = None, lam: int | None = N
     elif family == "pi":
         if lam is None or nu is None:
             raise ValueError("pi family needs lam and nu")
-        table = compatible_counts(lam, nu, counts, limit=limit)
-        total = table.total(nu)
+        total, _, by_r0 = _pi_counts(lam, nu, range(r0_max + 1), limit)
         if total == 0:
             raise ValueError(f"no compatible shapes up to nu = {nu}")
         sing = find_zeta(lam)
         for r0 in range(r0_max + 1):
-            exact = Fraction(table.count(r0, nu), total)
+            exact = Fraction(by_r0[r0], total)
             asym = asym_pi(lam, r0, sing)
             rows.append((r0, float(exact), asym, abs(float(exact) - asym)))
     else:

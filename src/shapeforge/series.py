@@ -9,9 +9,14 @@ recurrence in integers, and each of its divisions is exact: a remainder
 raises DivisibilityFailure.  The Narayana and 2-Motzkin forms of the
 island GF, and both sides of Coker's identities, are finite sums of
 c * x^a * (1 + y)^b terms, each power read off a row of Pascal's triangle
-into one term dict.  There is no series square root, inverse or product,
-and no product of Polys outside the recurrences.  Fraction appears only
-in the level-0 GF at a rational t, where a coefficient is not integral.
+into one term dict.  There is no series square root, inverse or product
+kernel (sqrt(p) below also runs its recurrence), and no product of Polys
+outside the recurrences.  Fraction appears only in the level-0 GF at a
+rational t, where a coefficient is not integral.
+
+compatible_counts tabulates the pi-shape counts by an (n, u, r0) loop over
+Motzkin path classes; _pi_counts reads a total, weighted sum or row at one
+nu off S = sqrt(p), p = singular_polynomial(lam), in O(nu) per quantity.
 """
 
 from __future__ import annotations
@@ -279,6 +284,92 @@ class CompatibleTable:
 
     def weighted_sum(self, nu: int) -> int:
         return sum(r0 * self.count(r0, nu) for r0 in range(len(self.counts)))
+
+
+def singular_polynomial(lam: int) -> list:
+    """Ascending coefficients of p(z) = z^(2 lam + 2) - 4 z^(lam + 3)
+    - 2 z^(lam + 1) + 1; exponents collide when lam = 1."""
+    if lam < 1:
+        raise ValueError(f"lam must be positive, got {lam}")
+    coeffs = [0] * (2 * lam + 3)
+    coeffs[0] += 1
+    coeffs[lam + 1] -= 2
+    coeffs[lam + 3] -= 4
+    coeffs[2 * lam + 2] += 1
+    return coeffs
+
+
+def _pi_counts(lam: int, nu: int, r0s=(), limit: int = 2000) -> tuple[int, int, dict]:
+    """The cumulative total, weighted sum and rows r0 in ``r0s`` at nu of
+    compatible_counts(lam, nu), without the table.
+
+    With a = lam + 1, a flat step weighs x^a and an up-down pair x^(a+2),
+    so the shapes by minimum backbone length have the GF u = x^a M, where
+    M = 1 + x^a M + x^(a+2) M^2.  Its discriminant is p(x), so with
+    S = sqrt(p) = 1 - x^a - 2 x^(a+2) M:
+
+    - S follows from 2 p S' = p' S: S_0 = 1 and
+      2n S_n = sum_k (3k - 2n) p_k S_(n-k) over the nonzero p_k, k >= 1.
+    - M_k = -S_(k+a+2) / 2, and the total at nu is sum_(k <= nu-a) M_k.
+    - Marking each of the r0 + 1 components by t, the table is the running
+      sum of R = sum_r0 t^r0 K^(r0+1) = u / (1 + (1 - t) u), K = u / (1 + u).
+      The weighted sum is the running sum of dR/dt at t = 1, which is u^2,
+      and x^2 u^2 = (1 - x^a) u - x^a gives [x^j] u^2 =
+      M_(j-a+2) - M_(j-2a+2) for j >= 2a, so it is a sum of M alone.
+    - K solves (1 + x^2) K^2 - (1 + x^a) K + x^a = 0, so
+      K = (1 + x^a - S) / (2 (1 + x^2)) = (x^a + x^(a+2) M) / (1 + x^2),
+      and (1 + x^2) K^(j+2) = (1 + x^a) K^(j+1) - x^a K^j.  Row r0 is the
+      running sum of K^(r0+1); K^j starts at x^(a j), so rows with
+      a (r0 + 1) > nu are 0, and division by 1 + x^2 is
+      c_i = b_i - c_(i-2).
+
+    Every division is exact; a remainder raises DivisibilityFailure.
+    """
+    if lam < 1:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if nu < 0:
+        raise ValueError("nu_max must be nonnegative")
+    if nu > limit:
+        raise ResourceGuardExceeded(f"nu_max = {nu} exceeds guard {limit}")
+    rows = dict.fromkeys(r0s, 0)
+    if rows and min(rows) < 0:
+        raise IndexError("r0 must be nonnegative")
+    a = lam + 1
+    terms = [(k, c) for k, c in enumerate(singular_polynomial(lam)) if k and c]
+    s = [1]
+    for n in range(1, nu + 5):
+        s_n, rem = divmod(sum((3 * k - 2 * n) * c * s[n - k] for k, c in terms if k <= n), 2 * n)
+        if rem:
+            raise DivisibilityFailure(f"pi counts: S_{n} of sqrt(p) is not an integer")
+        s.append(s_n)
+    m = []  # M_0 .. M_(nu-a+2)
+    for c in s[a + 2:]:
+        m_k, rem = divmod(-c, 2)
+        if rem:
+            raise DivisibilityFailure(f"pi counts: M_{len(m)} is not an integer")
+        m.append(m_k)
+    prefix = list(accumulate(m, initial=0))
+
+    def span(lo: int, hi: int) -> int:  # M_lo + ... + M_hi
+        return prefix[hi + 1] - prefix[lo] if hi >= lo else 0
+
+    total = span(0, nu - a)
+    weighted = span(a + 2, nu - a + 2) - span(2, nu - 2 * a + 2)
+    top = min(max(rows, default=-1) + 1, nu // a)  # the last power of K below x^(nu+1)
+    if top >= 1:
+        power = [0] * (nu + 1)  # K
+        for i in range(a, nu + 1):
+            power[i] = (i == a) + (m[i - a - 2] if i >= a + 2 else 0) - power[i - 2]
+        below = [1] + [0] * nu  # K^0
+        for e in range(1, top + 1):
+            if e - 1 in rows:
+                rows[e - 1] = sum(power)
+            if e < top:
+                nxt = [0] * (nu + 1)
+                for i in range(a * (e + 1), nu + 1):
+                    nxt[i] = power[i] + power[i - a] - below[i - a] - nxt[i - 2]
+                below, power = power, nxt
+    return total, weighted, rows
 
 
 def compatible_counts(lam: int, nu_max: int, counts: ExactCounts | None = None,

@@ -31,13 +31,20 @@ formulas by a second route:
   one vertex at a time, against the package's stack-level walk over the
   parsed text.  check_island_text is the island-diagram validation with a
   per-pair hairpin loop, against the package's substring test.
+- dot_brackets enumerates every secondary structure of a length with a
+  minimum hairpin loop, and pi_shapes_by_components abstracts each through
+  parse_structure, to_pi_prime and to_pi and counts the distinct pi shapes
+  by component number: the paper's classification read off the structures
+  themselves, against the pi-shape counts of the series layer, which come
+  from Motzkin paths or from the square root of the singular polynomial.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
-from shapeforge import ElementReport, Poly
+from shapeforge import ElementReport, Poly, parse_structure, pi_stats, to_pi, to_pi_prime
 from shapeforge.errors import (
     AdjacentPair,
     DivisibilityFailure,
@@ -604,3 +611,34 @@ def check_island_text(t):
     for i, j in enumerate(partner):
         if j is not None and 0 < j - i <= 2 and t[i + 1 : j] != "_":
             raise ValueError(f"hairpin without a single blank at {i} in {t!r}")
+
+
+def dot_brackets(length, hairpin):
+    """Every dot-bracket string of the length whose hairpin loops have at
+    least ``hairpin`` >= 1 unpaired bases: a leading "." or a leading pair
+    "(" inner ")" followed by the rest, where the inner part holds a pair or
+    at least ``hairpin`` bases.  Each shorter length is built once per call."""
+
+    @cache
+    def strings(n):
+        if n == 0:
+            return ("",)
+        out = ["." + rest for rest in strings(n - 1)]
+        for k in range(n - 1):
+            inner = [t for t in strings(k) if k >= hairpin or "(" in t]
+            out += ["(" + t + ")" + rest for t in inner for rest in strings(n - 2 - k)]
+        return tuple(out)
+
+    return strings(length)
+
+
+def pi_shapes_by_components(length, hairpin):
+    """The number of distinct pi shapes of the structures of dot_brackets,
+    keyed by component number minus one (r0).  An unpaired base changes no
+    pi shape, so every shape of minimum length up to ``length`` appears."""
+    shapes = {}
+    for text in dot_brackets(length, hairpin):
+        if "(" in text:
+            shape = to_pi(to_pi_prime(parse_structure(text)))
+            shapes.setdefault(pi_stats(shape).components - 1, set()).add(shape.text)
+    return {r0: len(texts) for r0, texts in shapes.items()}

@@ -441,21 +441,30 @@ def test_resource_exhaustion_exits_one_with_empty_stdout(capsys, monkeypatch, ex
 
 
 # A child's ru_maxrss starts from the RSS of the process that spawned it,
-# so a small python process spawns the command and reports its peak.
+# so a small python process spawns the command and reports its peak.  Its
+# first two arguments cap the command's CPU seconds and address space in
+# bytes; 0 leaves a limit as it is.
 _SPAWN = """
-import os, subprocess, sys
-proc = subprocess.Popen([sys.executable, "-m", "shapeforge.cli", *sys.argv[1:]],
-                        stdout=subprocess.DEVNULL)
+import os, resource, subprocess, sys
+cpu, address_space = map(int, sys.argv[1:3])
+
+def caps():
+    for limit, value in ((resource.RLIMIT_CPU, cpu), (resource.RLIMIT_AS, address_space)):
+        if value:
+            resource.setrlimit(limit, (value, value))
+
+proc = subprocess.Popen([sys.executable, "-m", "shapeforge.cli", *sys.argv[3:]],
+                        stdout=subprocess.DEVNULL, preexec_fn=caps)
 _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _peak_rss_mb(argv) -> float:
+def _peak_rss_mb(argv, cpu_s: int = 0, address_space: int = 0) -> float:
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     env.pop("SHAPEFORGE_MAX_N", None)
-    out = subprocess.run([sys.executable, "-c", _SPAWN, *argv], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", _SPAWN, str(cpu_s), str(address_space), *argv],
+                         env=env, check=True, capture_output=True, text=True).stdout
     code, kilobytes = map(int, out.split())
     assert code == 0
     return kilobytes / 1024
@@ -468,6 +477,18 @@ def test_a_large_table_is_streamed_not_joined(fmt):
     # time; joining the 9.5 MB of plain output into one string first takes
     # it to about 50 MB, and json.dumps of the whole JSON document to 63 MB
     assert _peak_rss_mb(["count", "islands", "--ell", "200", "--format", fmt]) < 45
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--target", "pi_total", "--lambda", "1", "--nu", "2000"],
+    ["asymptotics", "--target", "pi_r0", "--lambda", "1", "--nu", "2000", "--r0", "2000"],
+    ["distribution", "pi", "--lambda", "1", "--nu", "2000", "--r0-max", "2000"],
+])
+def test_pi_queries_at_the_nu_guard_finish_under_caps(argv):
+    # at lambda 1 the compatible_counts table for this nu takes over 60 s of
+    # CPU; read off S = sqrt(p), each query takes under a second and 18 MB
+    assert _peak_rss_mb(argv, cpu_s=10, address_space=512 << 20) < 64
 
 
 def test_json_rows_in_several_blocks_are_one_document(capsys):

@@ -19,6 +19,7 @@ from oracles import (
     level0_gf_by_inverse,
     motzkin_gf_by_sqrt,
     motzkin_paths,
+    pi_shapes_by_components,
     poly_degree,
     poly_evaluate,
     poly_substitute,
@@ -31,6 +32,9 @@ from oracles import (
 )
 from shapeforge import (
     IDENTITY_NAMES,
+    asym_count,
+    convergence_report,
+    expected_pi_r0,
     ExactCounts,
     ISLAND_GF_FORMS,
     Poly,
@@ -462,6 +466,100 @@ def test_compatible_against_path_enumeration(lam, counts):
         for nu in range(nu_cap + 1):
             acc += brute.get((r0, nu), 0)
             assert table.count(r0, nu) == acc
+
+
+# ---------------------------------------------------------------------------
+# pi counts at one nu from S = sqrt(p), against the table and the structures
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 7, 12, 32])
+def test_pi_counts_match_the_table_at_every_nu(lam):
+    table = compatible_counts(lam, 300)
+    r0s = range(table.r0_max + 2)
+    for nu in range(301):
+        total, weighted, rows = series_module._pi_counts(lam, nu, r0s)
+        assert total == table.total(nu)
+        assert weighted == table.weighted_sum(nu)
+        assert rows == {r0: table.count(r0, nu) for r0 in r0s}
+
+
+@pytest.mark.parametrize("lam, nu_max", [(2, 14), (3, 14), (4, 15)])
+def test_pi_counts_match_the_structures_they_abstract(lam, nu_max):
+    for nu in range(nu_max + 1):
+        shapes = pi_shapes_by_components(nu, lam - 1)
+        total, weighted, rows = series_module._pi_counts(lam, nu, range(nu + 1))
+        assert rows == {r0: shapes.get(r0, 0) for r0 in range(nu + 1)}
+        assert total == sum(shapes.values())
+        assert weighted == sum(r0 * c for r0, c in shapes.items())
+
+
+@pytest.mark.parametrize("args, exc, message", [
+    ((0, 10), ValueError, "lam must be positive, got 0"),
+    ((4, -1), ValueError, "nu_max must be nonnegative"),
+    ((4, 2001), ResourceGuardExceeded, "nu_max = 2001 exceeds guard 2000"),
+    ((4, 51, None, 50), ResourceGuardExceeded, "nu_max = 51 exceeds guard 50"),
+])
+def test_pi_counts_refuse_what_the_table_refuses(args, exc, message):
+    lam, nu, *limit = args
+    limit = {"limit": limit[1]} if limit else {}
+    for build in (compatible_counts, series_module._pi_counts):
+        with pytest.raises(exc) as info:
+            build(lam, nu, **limit)
+        assert str(info.value) == message
+    with pytest.raises(exc) as info:
+        convergence_report("pi", lam=lam, nu=nu, **limit)
+    assert str(info.value) == message
+
+
+def test_a_negative_r0_is_refused_as_the_table_refused_it():
+    with pytest.raises(IndexError) as info:
+        compatible_counts(4, 60).count(-1, 60)
+    assert str(info.value) == "r0 must be nonnegative"
+    with pytest.raises(IndexError) as info:
+        series_module._pi_counts(4, 60, (3, -1))
+    assert str(info.value) == "r0 must be nonnegative"
+    with pytest.raises(IndexError) as info:
+        asym_count("pi_r0", lam=4, nu=60, r0=-1)
+    assert str(info.value) == "r0 must be nonnegative"
+
+
+@pytest.mark.parametrize("lam, nu", [(1, 157), (4, 200), (7, 241)])
+def test_pi_queries_read_what_the_table_holds(lam, nu):
+    table = compatible_counts(lam, nu)
+    assert asym_count("pi_total", lam=lam, nu=nu).exact == table.total(nu)
+    assert asym_count("pi_weighted_sum", lam=lam, nu=nu).exact == table.weighted_sum(nu)
+    for r0 in (0, 3, table.r0_max, table.r0_max + 1):
+        assert asym_count("pi_r0", lam=lam, nu=nu, r0=r0).exact == table.count(r0, nu)
+    assert expected_pi_r0(lam, nu) == Fraction(table.weighted_sum(nu), table.total(nu))
+    rows = convergence_report("pi", lam=lam, nu=nu, r0_max=table.r0_max + 1)
+    assert [r[1] for r in rows] == [float(Fraction(table.count(r0, nu), table.total(nu)))
+                                    for r0 in range(table.r0_max + 2)]
+
+
+def test_pi_queries_build_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pi query built the compatible_counts table")
+
+    monkeypatch.setattr(series_module, "compatible_counts", refuse)
+    for target in ("pi_total", "pi_weighted_sum", "pi_r0"):
+        assert asym_count(target, lam=2, nu=2000, r0=8).exact > 0
+    assert expected_pi_r0(2, 2000) > 0
+    assert len(convergence_report("pi", lam=2, nu=2000, r0_max=2000)) == 2001
+
+
+def test_pi_counts_refuse_a_wrong_coefficient(monkeypatch):
+    # the singular polynomial of lam = 3 with its x^4 coefficient off by 1
+    # gives an S whose recurrence meets a remainder
+    original = series_module.singular_polynomial
+
+    def wrong(lam):
+        coeffs = original(lam)
+        coeffs[lam + 1] += 1
+        return coeffs
+
+    monkeypatch.setattr(series_module, "singular_polynomial", wrong)
+    with pytest.raises(DivisibilityFailure):
+        series_module._pi_counts(3, 40)
 
 
 # ---------------------------------------------------------------------------
