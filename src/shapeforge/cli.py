@@ -113,6 +113,48 @@ def _read_text(args) -> str:
     raise UsageError("provide --in TEXT or --file PATH")
 
 
+# Every size bound of the CLI but verify's (series.IDENTITY_BOUNDS):
+# (command, flag) -> (minimum, maximum) of --flag.  A flag takes the row of
+# the longest prefix of its command that has one, so ("asymptotics", "n")
+# bounds every target that reads --n.  _check_size refuses a size outside
+# its row before any work; a nu row is the library's limit instead, and the
+# library refuses nu.  SHAPEFORGE_MAX_N raises every maximum.  A comment
+# gives the child CPU and peak RSS at the maximum, in the costliest format
+# and other flags (CPython 3.11, 2 vCPUs, a speed that drifts up to 1.8x);
+# tests/guard_sweep.py runs each row at its maximum and one past each end.
+SIZE_BOUNDS = {
+    ("count catalan", "n"): (0, 100000),  # 0.76 s, 15 MB
+    ("count motzkin", "n"): (0, 20000),  # 0.24 s, 15 MB
+    ("count motzkin-coeff", "n"): (0, 3000),  # 0.54 s, 18 MB
+    ("count narayana", "n"): (1, 2000),  # 0.37 s, 19 MB
+    ("count convolution", "n"): (1, 2000),  # 0.51 s, 18 MB
+    ("count level0", "n"): (0, 400),  # 0.10 s, 15 MB
+    ("count islands", "ell"): (1, 200),  # 0.90 s, 27 MB
+    ("distribution level0", "n"): (0, 600),  # 0.23 s, 17 MB
+    ("distribution level0", "r0-max"): (0, 600),  # 0.23 s, 17 MB
+    ("distribution pi", "lambda"): (1, 32),  # find_zeta's range; 0.12 s, 18 MB
+    ("distribution pi", "nu"): (0, 2000),  # 0.33 s, 19 MB
+    ("distribution pi", "r0-max"): (0, 2000),  # 0.33 s, 19 MB
+    ("asymptotics", "n"): (1, 20000),  # 0.30 s, 17 MB
+    ("asymptotics", "lambda"): (1, 32),  # find_zeta's range; 0.16 s, 18 MB
+    ("asymptotics", "nu"): (1, 2000),  # 0.42 s, 18 MB
+    ("asymptotics", "r0"): (0, 2000),  # 0.42 s, 18 MB
+    # compatible_counts' loop; below lambda 8, nu = 2000 takes over 5 s
+    ("compatible --lambda 1", "nu"): (0, 900),  # 3.6 s, 44 MB
+    ("compatible --lambda 2", "nu"): (0, 800),  # 3.7 s, 34 MB
+    ("compatible --lambda 3", "nu"): (0, 1000),  # 3.9 s, 31 MB
+    ("compatible --lambda 4", "nu"): (0, 1300),  # 4.5 s, 44 MB
+    ("compatible --lambda 5", "nu"): (0, 1500),  # 4.1 s, 39 MB
+    ("compatible --lambda 6", "nu"): (0, 1700),  # 4.0 s, 51 MB
+    ("compatible --lambda 7", "nu"): (0, 1900),  # 4.1 s, 43 MB
+    ("compatible", "nu"): (0, 2000),  # 3.1 s, 52 MB at lambda 8, less above
+    ("compatible", "r0-max"): (0, 2000),  # 3.1 s, 52 MB
+}
+# each count family and the flag that sizes it
+_COUNT_FLAGS = {command.split()[1]: flag for command, flag in SIZE_BOUNDS
+                if command.startswith("count ")}
+
+
 def _guard(default: int) -> int:
     env = os.environ.get("SHAPEFORGE_MAX_N")
     if env:
@@ -120,11 +162,25 @@ def _guard(default: int) -> int:
     return default
 
 
-def _check_size(command: str, flag: str, size: int, minimum: int, default_limit: int) -> None:
-    """Refuse a size below minimum or above the guard of default_limit."""
+def _bounds(command: str, flag: str) -> tuple[int, int]:
+    """The minimum and the guard of --flag in command: a verify identity's
+    row of series.IDENTITY_BOUNDS, else the SIZE_BOUNDS row of the longest
+    prefix of command that has one."""
+    words = command.split()
+    if words[0] == "verify":
+        minimum, _, maximum = series.IDENTITY_BOUNDS[words[1]]
+    else:
+        while (" ".join(words), flag) not in SIZE_BOUNDS:
+            words.pop()
+        minimum, maximum = SIZE_BOUNDS[" ".join(words), flag]
+    return minimum, _guard(maximum)
+
+
+def _check_size(command: str, flag: str, size: int) -> None:
+    """Refuse a size outside the bounds of --flag in command."""
+    minimum, limit = _bounds(command, flag)
     if size < minimum:
         raise ValueError(f"{command}: --{flag} {size} is below {minimum}")
-    limit = _guard(default_limit)
     if size > limit:
         raise ResourceGuardExceeded(f"{command}: --{flag} {size} exceeds guard {limit}")
 
@@ -191,26 +247,13 @@ def _cmd_bijection(args) -> Doc:
     return Doc({"value": out})
 
 
-# smallest and largest --n (--ell for islands) per count family; the
-# largest finishes within about a second of CPU and 70 MB on a 2-vCPU machine
-_COUNT_SIZES = {
-    "catalan": (0, 100000),
-    "motzkin": (0, 20000),
-    "motzkin-coeff": (0, 3000),
-    "narayana": (1, 2000),
-    "convolution": (1, 2000),
-    "level0": (0, 400),
-    "islands": (1, 200),
-}
-
-
 def _cmd_count(args) -> Doc:
     counts = ExactCounts()
     family = args.family
-    flag = "ell" if family == "islands" else "n"
+    flag = _COUNT_FLAGS[family]
     size = getattr(args, flag)
     _require(size is not None, f"{family} needs --{flag}")
-    _check_size(f"count {family}", flag, size, *_COUNT_SIZES[family])
+    _check_size(f"count {family}", flag, size)
     if family == "catalan":
         return Doc({"value": counts.catalan(size)})
     if family == "motzkin":
@@ -248,8 +291,7 @@ def _cmd_verify(args) -> Doc:
         if name == "island_gf_forms_agree" and args.order is not None:
             bound, flag = args.order, "order"
         if bound is not None:
-            minimum, _, ceiling = series.IDENTITY_BOUNDS[name]
-            _check_size(f"verify {name}", flag, bound, minimum, ceiling)
+            _check_size(f"verify {name}", flag, bound)
         bounds[name] = bound
     counts = ExactCounts()
     reports = [series.verify_identity(name, bound, counts) for name, bound in bounds.items()]
@@ -260,31 +302,45 @@ def _cmd_verify(args) -> Doc:
                 + f" ({r.range_checked})" for r in reports}, exit=code)
 
 
-# largest --n and --r0-max of the level-0 distribution; both at once finish
-# within about a second of CPU and 20 MB on a 2-vCPU machine
-_LEVEL0_DISTRIBUTION_SIZE = 600
-
-
 def _cmd_distribution(args) -> Doc:
     if args.family == "level0":
         _require(args.n is not None, "level0 distribution needs --n")
         for flag, size in (("n", args.n), ("r0-max", args.r0_max)):
-            _check_size("distribution level0", flag, size, 0, _LEVEL0_DISTRIBUTION_SIZE)
+            _check_size("distribution level0", flag, size)
         rows = asymptotics.convergence_report("level0", n=args.n, r0_max=args.r0_max)
         fields = {"family": "level0", "n": args.n}
     else:
         _require(args.lam is not None and args.nu is not None,
                  "pi distribution needs --lambda and --nu")
-        _check_size("distribution pi", "r0-max", args.r0_max, 0, 2000)
-        rows = asymptotics.convergence_report("pi", lam=args.lam, nu=args.nu,
-                                              r0_max=args.r0_max, limit=_guard(2000))
+        _check_size("distribution pi", "r0-max", args.r0_max)
+        _check_size("distribution pi", "lambda", args.lam)
+        rows = asymptotics.convergence_report("pi", lam=args.lam, nu=args.nu, r0_max=args.r0_max,
+                                              limit=_bounds("distribution pi", "nu")[1])
         fields = {"family": "pi", "lambda": args.lam, "nu": args.nu}
     return Doc(fields, ("r0", "exact", "asymptotic", "deviation"), rows)
 
 
 def _cmd_asymptotics(args) -> Doc:
+    needs = {
+        "zeta": ("lam",),
+        "motzkin_number": ("n",),
+        "level0_total": ("n", "r0"),
+        "level0_weighted_sum": ("n",),
+        "pi_total": ("lam", "nu"),
+        "pi_r0": ("lam", "nu", "r0"),
+        "pi_weighted_sum": ("lam", "nu"),
+    }[args.target]
+    for field in needs:
+        flag = "--lambda" if field == "lam" else f"--{field}"
+        _require(getattr(args, field) is not None, f"{args.target} needs {flag}")
+    command = f"asymptotics {args.target}"
+    if "n" in needs:
+        _check_size(command, "n", args.n)
+    if args.target == "pi_r0":
+        _check_size(command, "r0", args.r0)
+    if "lam" in needs:
+        _check_size(command, "lambda", args.lam)
     if args.target == "zeta":
-        _require(args.lam is not None, "zeta needs --lambda")
         sing = asymptotics.deflate(args.lam, asymptotics.find_zeta(args.lam))
         return Doc({
             "lambda": args.lam,
@@ -294,29 +350,13 @@ def _cmd_asymptotics(args) -> Doc:
             "distribution_base": asymptotics.asym_pi(args.lam, 0, sing),
             "expected_r0": asymptotics.asym_pi_expected(args.lam, sing),
         })
-    needs = {
-        "motzkin_number": ("n",),
-        "level0_total": ("n", "r0"),
-        "level0_weighted_sum": ("n",),
-        "pi_total": ("lam", "nu"),
-        "pi_r0": ("lam", "nu", "r0"),
-        "pi_weighted_sum": ("lam", "nu"),
-    }
-    for field in needs[args.target]:
-        flag = "--lambda" if field == "lam" else f"--{field}"
-        _require(getattr(args, field) is not None, f"{args.target} needs {flag}")
-    if "n" in needs[args.target]:
-        # the exact counts behind these targets cost what `count motzkin` does
-        _check_size(f"asymptotics {args.target}", "n", args.n, 1, _COUNT_SIZES["motzkin"][1])
-    if args.target == "pi_r0":
-        _check_size("asymptotics pi_r0", "r0", args.r0, 0, 2000)
     report = asymptotics.asym_count(
         args.target,
         n=args.n,
         lam=args.lam,
         nu=args.nu,
         r0=args.r0,
-        limit=_guard(2000),
+        limit=_bounds(command, "nu")[1],
     )
     asymptotic = report.asymptotic
     # overflowed, or underflowed to 0 or a subnormal: print from the logarithm
@@ -333,8 +373,9 @@ def _cmd_asymptotics(args) -> Doc:
 
 def _cmd_compatible(args) -> Doc:
     if args.r0_max is not None:
-        _check_size("compatible", "r0-max", args.r0_max, 0, 2000)
-    table = series.compatible_counts(args.lam, args.nu, limit=_guard(2000))
+        _check_size("compatible", "r0-max", args.r0_max)
+    limit = _bounds(f"compatible --lambda {args.lam}", "nu")[1]
+    table = series.compatible_counts(args.lam, args.nu, limit=limit)
     r0_max = args.r0_max if args.r0_max is not None else table.r0_max
     rows = [(r0, table.count(r0, args.nu)) for r0 in range(r0_max + 1)]
     fields = {"lambda": args.lam, "nu": args.nu, "total": table.total(args.nu)}
@@ -381,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="text", help="alias for --path")
 
     p = command("count", _cmd_count, "exact counting tables")
-    p.add_argument("family", choices=tuple(_COUNT_SIZES))
+    p.add_argument("family", choices=tuple(_COUNT_FLAGS))
     p.add_argument("--n", type=int)
     p.add_argument("--ell", type=int)
 

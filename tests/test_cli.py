@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import guard_sweep
 from shapeforge import cli
 from shapeforge.asymptotics import asym_count
 from shapeforge.cli import main
@@ -499,3 +500,49 @@ def test_json_rows_in_several_blocks_are_one_document(capsys):
     parsed = json.loads(doc)
     assert doc == json.dumps(parsed) + "\n"
     assert [[r["hairpins"], r["islands"], r["count"]] for r in parsed["rows"]] == rows
+
+
+@pytest.mark.parametrize("command, flag", list(cli.SIZE_BOUNDS),
+                         ids=[f"{command} --{flag}" for command, flag in cli.SIZE_BOUNDS])
+def test_every_size_bound_refuses_one_past_each_end(capsys, monkeypatch, command, flag):
+    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+    minimum, maximum = cli.SIZE_BOUNDS[command, flag]
+    # the library refuses nu itself, as nu_max (or nu >= 1 for a pi target)
+    names = ("nu_max", "nu >=") if flag == "nu" else (f"--{flag} ",)
+    for size in (maximum + 1, minimum - 1):
+        for argv in guard_sweep.row_argvs(command, flag, size):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.count("\n") == 1 and any(name in err for name in names), (argv, err)
+
+
+@pytest.mark.parametrize("lam", range(1, 8))
+def test_compatible_refuses_nu_past_the_ceiling_of_its_lambda(capsys, monkeypatch, lam):
+    # below lambda 8 the compatible_counts loop cannot finish nu = 2000 in
+    # about 5 s, so each of these lambda has a lower ceiling of its own
+    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+    _, ceiling = cli.SIZE_BOUNDS[f"compatible --lambda {lam}", "nu"]
+    code, out, err = run(capsys, "compatible", "--lambda", str(lam), "--nu", str(ceiling + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: ResourceGuardExceeded: nu_max = {ceiling + 1} exceeds guard {ceiling}\n"
+    monkeypatch.setenv("SHAPEFORGE_MAX_N", str(ceiling + 1))
+    assert cli._bounds(f"compatible --lambda {lam}", "nu") == (0, ceiling + 1)
+
+
+def test_compatible_accepts_the_largest_table_the_benchmark_asks_for(capsys):
+    code, out, err = run(capsys, "compatible", "--lambda", "4", "--nu", "320")
+    assert (code, err) == (0, "")
+    assert out.startswith("r0  count\n")
+
+
+def test_a_huge_lambda_is_refused_before_any_work(monkeypatch):
+    # _pi_counts would build the dense singular polynomial of lambda first:
+    # 9 s of CPU and 779 MB before it refused
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "shapeforge.cli", "distribution", "pi",
+            "--lambda", "50000000", "--nu", "10"]
+    code, out, err, cpu_s, _ = guard_sweep.run_capped(argv)
+    assert (code, out) == (1, b"")
+    assert err == (b"error: ResourceGuardExceeded: distribution pi: "
+                   b"--lambda 50000000 exceeds guard 32\n")
+    assert cpu_s < 2
