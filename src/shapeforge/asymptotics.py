@@ -7,12 +7,12 @@ governed by the smallest positive root zeta of
 
 For odd lam the polynomial is even and the roots come in a pair +-zeta.
 p has two sign changes, p(0) = 1 and p(1) = -4, so by Descartes' rule its
-root in (0, 1) is unique, and it is irrational.  Root isolation therefore
-reads every sign from an exact integer: a binary search on the 1/1000 grid
-and a bisection to width 1e-12 give a bracket proven to hold the root.
-Floats appear only in the witness zeta and in the quantities derived from
-it; the deflated cofactor at zeta is the closed form -zeta p'(zeta), halved
-for odd lam.
+root in (0, 1) is unique, and it is irrational.  The bracket is the cell of
+the 1/1000 grid, halved until no wider than 1e-12, that holds the root: a
+float Newton estimate names the cell and two exact integer signs prove it.
+The estimate only chooses where signs are read; otherwise floats appear in
+the witness zeta and the quantities derived from it.  The deflated cofactor
+at zeta is the closed form -zeta p'(zeta), halved for odd lam.
 
 p is the discriminant of the shapes' generating function, so the exact pi
 counts come from S = sqrt(p) at one nu (series._pi_counts, O(nu) and O(nu)
@@ -23,9 +23,9 @@ re-exports singular_polynomial from series.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 
 from .counting import ExactCounts
 from .errors import ASYM_TARGETS, LargeRemainder, NoRootFound, UnsupportedTarget
@@ -51,54 +51,65 @@ class DominantSingularity:
     cofactor_at_zeta: float | None = None
 
 
-def _sign_at(coeffs, x: Fraction) -> int:
-    """Exact sign of the polynomial at a rational x = a/b, b > 0.
+def _terms(lam: int) -> list:
+    """p's nonzero terms (i, c_i), ascending; the last is the leading one."""
+    return [(i, c) for i, c in enumerate(singular_polynomial(lam)) if c]
 
-    b^deg * p(a/b) = sum c_i a^i b^(deg - i) is an integer of the same sign.
-    """
-    a, b = x.numerator, x.denominator
-    deg = len(coeffs) - 1
-    value = sum(c * a ** i * b ** (deg - i) for i, c in enumerate(coeffs) if c)
+
+def _sign_at(terms, a: int, b: int) -> int:
+    """Exact sign of p(a/b), b > 0: b^deg p(a/b) = sum c_i a^i b^(deg - i)."""
+    deg = terms[-1][0]
+    value = sum(c * a ** i * b ** (deg - i) for i, c in terms)
     return (value > 0) - (value < 0)
 
 
 _SCAN_STEPS = 1000
 _WIDTH = Fraction(1, 10 ** 12)
+# the bracket is a cell of the 1/1000 grid halved until no wider than _WIDTH
+_CELLS = _SCAN_STEPS << next(k for k in count() if Fraction(1, _SCAN_STEPS << k) <= _WIDTH)
+
+
+def _cell(m: int, above) -> int:
+    """The k with k/_CELLS below the root and (k + 1)/_CELLS above it, where
+    above(k) says whether k/_CELLS lies above the root: a gallop outward
+    from m (steps 1, 2, 4, ...), then bisection.  A right m costs two calls."""
+    lo, hi, step = m, m + 1, 1
+    while above(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while not above(hi):
+        lo, hi, step = hi, min(hi + step, _CELLS), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return lo
 
 
 def find_zeta(lam: int) -> DominantSingularity:
     """Isolate the unique root of p(z) on (0, 1).
 
-    By Descartes' rule p has exactly one root in (0, 1), so p(k/_SCAN_STEPS)
-    is positive exactly when k/_SCAN_STEPS lies below it, and a binary search
-    finds the grid cell holding the root.  Bisection then halves that cell
-    until it is no wider than ``_WIDTH``.  Every sign is read from an exact
-    integer; ``zeta`` is the float midpoint of the final bracket.
+    By Descartes' rule p has exactly one root in (0, 1), and it is
+    irrational, so exactly one cell [k, k + 1]/_CELLS shows a sign change:
+    the cell that a binary search of the 1/1000 grid and a bisection to
+    ``_WIDTH`` end in.  A float Newton estimate names the cell, and two
+    exact integer signs prove it; a wrong estimate only costs more signs.
+    ``zeta`` is the float midpoint of the bracket.
     """
     if not 1 <= lam <= 32:
         raise ValueError(f"lam must be in 1..32, got {lam}")
-    coeffs = singular_polynomial(lam)
-    if not _sign_at(coeffs, Fraction(0)) > 0 > _sign_at(coeffs, Fraction(1)):
+    terms = _terms(lam)
+    if not _sign_at(terms, 0, 1) > 0 > _sign_at(terms, 1, 1):
         raise NoRootFound(f"no sign change of p on (0, 1) for lam = {lam}")
-    # the root is irrational, so p(k/_SCAN_STEPS) < 0 exactly when k/_SCAN_STEPS
-    # lies above it; the first such k ends the grid cell holding the root
-    k = bisect_left(range(_SCAN_STEPS + 1), True,
-                    key=lambda k: _sign_at(coeffs, Fraction(k, _SCAN_STEPS)) < 0)
-    low, high = Fraction(k - 1, _SCAN_STEPS), Fraction(k, _SCAN_STEPS)
-    while high - low > _WIDTH:
-        mid = (low + high) / 2
-        if _sign_at(coeffs, mid) > 0:
-            low = mid
-        else:
-            high = mid
-    zeta = float((low + high) / 2)
-    return DominantSingularity(
-        lam=lam,
-        low=low,
-        high=high,
-        zeta=zeta,
-        parity="odd" if lam % 2 else "even",
-    )
+    # Newton from z = 1: p is decreasing and concave on (0, 1], so the
+    # iterates fall to the root; stop when rounding ends the fall
+    z = 1.0
+    while z - (step := sum(c * z ** i for i, c in terms)
+               / sum(i * c * z ** (i - 1) for i, c in terms if i)) < z:
+        z -= step
+    k = _cell(min(max(int(z * _CELLS), 0), _CELLS - 1),
+              lambda k: _sign_at(terms, k, _CELLS) < 0)
+    return DominantSingularity(lam=lam, low=Fraction(k, _CELLS), high=Fraction(k + 1, _CELLS),
+                               zeta=float(Fraction(2 * k + 1, 2 * _CELLS)),
+                               parity="odd" if lam % 2 else "even")
 
 
 def deflate(lam: int, sing: DominantSingularity) -> DominantSingularity:
@@ -110,16 +121,17 @@ def deflate(lam: int, sing: DominantSingularity) -> DominantSingularity:
     an exact sign change of p inside [0, 1], which proves it holds the
     unique root there, and it must hold the float zeta.
     """
-    coeffs = singular_polynomial(lam)
+    terms = _terms(lam)
     if not (0 <= sing.low < sing.high <= 1
-            and _sign_at(coeffs, sing.low) > 0 > _sign_at(coeffs, sing.high)):
+            and _sign_at(terms, *sing.low.as_integer_ratio()) > 0
+            > _sign_at(terms, *sing.high.as_integer_ratio())):
         raise LargeRemainder(
             f"bracket [{sing.low}, {sing.high}] shows no sign change of p in [0, 1]")
     if not sing.low <= Fraction(sing.zeta) <= sing.high:
         raise LargeRemainder(
             f"zeta = {sing.zeta!r} lies outside its bracket [{sing.low}, {sing.high}]")
     z = sing.zeta
-    value = -z * sum(k * c * z ** (k - 1) for k, c in enumerate(coeffs) if k and c)
+    value = -z * sum(k * c * z ** (k - 1) for k, c in terms if k)
     if sing.parity == "odd":
         value /= 2
     return replace(sing, cofactor_at_zeta=value)

@@ -14,7 +14,8 @@ range (normal floats) prints in the same style, as a decimal mantissa and
 signed exponent (a string in JSON).
 Domain errors, and running out of memory, recursion depth or float range,
 exit with status 1 and a one-line diagnostic; usage errors exit with status
-2.  Integers print in full at any length.
+2; a stdout closed early by its reader exits with status 141 (128 + SIGPIPE)
+and prints nothing on stderr.  Integers print in full at any length.
 
 The environment variable SHAPEFORGE_MAX_N raises the enumeration and
 expansion guards.  This is unsafe: the guards exist to keep memory and
@@ -470,10 +471,16 @@ def main(argv=None) -> int:
         doc = args.func(args)
         for text in _render(doc, args.format):
             sys.stdout.write(text)
+        sys.stdout.flush()  # a small output's broken pipe surfaces here, not at exit
         return doc.exit
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early: not a domain error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ShapeforgeError, ValueError, OSError, OverflowError, MemoryError,
             RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -9,9 +9,10 @@ not the row's flag takes the three smallest values and the largest, or,
 for a command with no lambda row, the smallest lambda without a row of
 its own.  The library's GF expansions run at their order guards, read
 from their signatures, under the same caps, and one past each guard must
-raise ResourceGuardExceeded.
+raise ResourceGuardExceeded.  The checkout's src/ comes first on the path
+of the script and of every child, so it runs from a bare checkout:
 
-    PYTHONPATH=src python3 tests/guard_sweep.py      # -v prints each run's CPU and peak RSS
+    python3 tests/guard_sweep.py      # -v prints each run's CPU and peak RSS
 
 Exits 1, after every run, if any run did not do what it must.
 """
@@ -23,8 +24,12 @@ import subprocess
 import sys
 import tempfile
 from itertools import count
+from pathlib import Path
 
-from shapeforge import cli, series
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
+
+from shapeforge import cli, series  # noqa: E402
 
 CPU_S = 10
 ADDRESS_SPACE = 512 << 20
@@ -144,6 +149,7 @@ def run_capped(argv: list) -> tuple:
     The peak is at least the RSS of this process, which the child starts from."""
     env = dict(os.environ)
     env.pop("SHAPEFORGE_MAX_N", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env, preexec_fn=_caps)
         _, status, usage = os.wait4(proc.pid, 0)

@@ -8,6 +8,7 @@ from shapeforge import (
     asym_level0,
     asym_pi,
     asym_pi_expected,
+    asymptotics,
     convergence_report,
     deflate,
     expected_level0,
@@ -118,6 +119,41 @@ def test_find_zeta_matches_scan_then_bisect():
     for lam in range(1, 33):
         sing = find_zeta(lam)
         assert (sing.low, sing.high, sing.zeta) == _scan_then_bisect(lam), lam
+
+
+def _above(lam):
+    """k -> whether k/_CELLS lies above the root, from p's exact sign."""
+    coeffs = singular_polynomial(lam)
+    return lambda k: _integer_value(coeffs, Fraction(k, asymptotics._CELLS)) < 0
+
+
+def test_cell_search_recovers_the_bracket_from_bad_guesses():
+    cells = asymptotics._CELLS
+    assert cells == 1000 * 2 ** 30  # the 1/1000 grid halved to width 1e-12
+    for lam in range(1, 33):
+        sing = find_zeta(lam)
+        m = int(sing.low * cells)
+        assert (sing.low, sing.high) == (Fraction(m, cells), Fraction(m + 1, cells))
+        above = _above(lam)
+        for start in (0, cells - 1, m - 1, m + 1, m - 10 ** 6, m + 10 ** 6):
+            assert asymptotics._cell(start, above) == m, (lam, start)
+
+
+def test_find_zeta_reads_at_most_four_exact_signs(monkeypatch):
+    # the endpoints 0 and 1, then the two ends of the cell the float
+    # estimate names
+    calls = []
+    sign_at = asymptotics._sign_at
+
+    def counting(*args):
+        calls.append(args)
+        return sign_at(*args)
+
+    monkeypatch.setattr(asymptotics, "_sign_at", counting)
+    for lam in range(1, 33):
+        calls.clear()
+        find_zeta(lam)
+        assert len(calls) <= 4, (lam, len(calls))
 
 
 def test_find_zeta_range_validation():

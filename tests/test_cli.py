@@ -441,6 +441,23 @@ def test_resource_exhaustion_exits_one_with_empty_stdout(capsys, monkeypatch, ex
     assert err == f"error: {exc.__name__}: out of room\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "motzkin", "--n", "5"],  # fits the stdout buffer: fails at the flush
+    ["count", "narayana", "--n", "2000"],  # fails while the rows are written
+])
+def test_a_stdout_closed_early_exits_141_quietly(argv):
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "shapeforge.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 # A child's ru_maxrss starts from the RSS of the process that spawned it,
 # so a small python process spawns the command and reports its peak.  Its
 # first two arguments cap the command's CPU seconds and address space in
