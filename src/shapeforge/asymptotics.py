@@ -17,7 +17,8 @@ at zeta is the closed form -zeta p'(zeta), halved for odd lam.
 p is the discriminant of the shapes' generating function, so the exact pi
 counts come from S = sqrt(p) at one nu (series._pi_counts, O(nu) and O(nu)
 per row, no compatible_counts table) and zeta from its root; this module
-re-exports singular_polynomial from series.
+re-exports singular_polynomial from series.  asym_count isolates and
+deflates zeta itself for every pi target; it takes no singularity.
 """
 
 from __future__ import annotations
@@ -196,13 +197,6 @@ def _log_asym_level0_weighted(n: int) -> float:
     return (n + 1.5) * math.log(3) - math.log(SQRT_PI) - 1.5 * math.log(n)
 
 
-def _require_cofactor(lam, sing):
-    sing = sing if sing is not None and sing.lam == lam else deflate(lam, find_zeta(lam))
-    if sing.cofactor_at_zeta is None:
-        sing = deflate(lam, sing)
-    return sing
-
-
 def _parity_bracket(sing: DominantSingularity, nu: int) -> float:
     """1/(1-z) for even lam; the two-singularity sum for odd lam."""
     z = sing.zeta
@@ -287,9 +281,7 @@ def _exp(logv: float) -> float:
 
 def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
                nu: int | None = None, r0: int | None = None,
-               counts: ExactCounts | None = None,
-               sing: DominantSingularity | None = None,
-               limit: int = 2000) -> AsymptoticReport:
+               counts: ExactCounts | None = None, limit: int = 2000) -> AsymptoticReport:
     """Pair an exact count with its closed-form leading asymptotic.
 
     The ratio exact/asymptotic is computed through logarithms so that huge
@@ -320,7 +312,7 @@ def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
     else:
         if lam is None or nu is None or nu < 1:
             raise ValueError(f"{target} needs lam and nu >= 1")
-        sing = _require_cofactor(lam, sing)
+        sing = deflate(lam, find_zeta(lam))
         wanted = (r0,) if target == "pi_r0" and r0 is not None else ()
         total, weighted, rows = _pi_counts(lam, nu, wanted, limit)
         if target == "pi_total":
@@ -353,7 +345,7 @@ def expected_level0(n: int, counts: ExactCounts | None = None) -> Fraction:
     return Fraction(counts.level0_weighted_sum(n), counts.motzkin_number(n))
 
 
-def expected_pi_r0(lam: int, nu: int, counts: ExactCounts | None = None) -> Fraction:
+def expected_pi_r0(lam: int, nu: int) -> Fraction:
     """Exact expected r0 over compatible pi shapes of backbone length nu."""
     total, weighted, _ = _pi_counts(lam, nu)
     return Fraction(weighted, total)

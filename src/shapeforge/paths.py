@@ -108,12 +108,21 @@ def parse_path(text: str, kind: PathKind) -> LatticePath:
     return LatticePath(kind, text)
 
 
-def enumerate_paths(n: int, kind: PathKind, limit: int = 16) -> Iterator[LatticePath]:
+# the largest n of each kind, with a full drain's CPU time at 2 vCPUs
+PATH_LIMITS = {
+    PathKind.DYCK: 16,  # 1,430 paths, 0.01 s
+    PathKind.MOTZKIN1: 15,  # 310,572 paths, 1.8 s (n = 16: 853,467 in 5.6 s)
+    PathKind.MOTZKIN2: 12,  # 742,900 paths, 4.0 s
+}
+
+
+def enumerate_paths(n: int, kind: PathKind) -> Iterator[LatticePath]:
     """Yield every path of size n exactly once, in step-alphabet order."""
     if n < 0:
         raise ValueError(f"enumerate_paths: n must be nonnegative, got {n}")
-    if n > limit:
-        raise ResourceGuardExceeded(f"enumerate_paths: n = {n} exceeds guard {limit}")
+    if n > PATH_LIMITS[kind]:
+        raise ResourceGuardExceeded(
+            f"enumerate_paths: n = {n} exceeds guard {PATH_LIMITS[kind]}")
     alphabet = kind.alphabet
 
     def rec(prefix: list, h: int, remaining: int):
@@ -242,13 +251,16 @@ def decode1(shape: PiShape | str) -> LatticePath:
 # island-diagram decoration
 
 
-def decorate_islands(path: LatticePath, limit: int = 8) -> set:
+# the largest size; "B" * 8, 2^16 diagrams, takes 0.7 s of CPU at 2 vCPUs
+DECORATE_LIMIT = 8
+
+
+def decorate_islands(path: LatticePath) -> set:
     """All island diagrams that a 2-Motzkin path expands to: the blank
     expansions (``island_texts``) of its encoding."""
     if path.kind is not PathKind.MOTZKIN2:
         raise ValueError("decorate_islands expects a 2-Motzkin path")
-    if path.size > limit:
+    if path.size > DECORATE_LIMIT:
         raise ResourceGuardExceeded(
-            f"decorate_islands: size {path.size} exceeds guard {limit}"
-        )
+            f"decorate_islands: size {path.size} exceeds guard {DECORATE_LIMIT}")
     return {IslandDiagram(t) for t in island_texts(encode2(path))}

@@ -180,9 +180,14 @@ def expand_island_gf(order: int = 24, form: str = "closed",
     return TruncatedSeries("z", coeffs, order, zero)
 
 
+# the largest level-0 GF order in t: 0.07 s of CPU and 30 MB at 2 vCPUs
+LEVEL0_GF_LIMIT = 200
+# the largest at a rational t: 0.2 s of CPU at t = 3/7, 0.01 s at t = 2
+LEVEL0_GF_NUMERIC_LIMIT = 2000
+
+
 def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
-                     limit: int = 200, t=None,
-                     numeric_limit: int = 2000) -> TruncatedSeries:
+                     t=None) -> TruncatedSeries:
     """Expand the level-0 refinement of the Motzkin generating function.
 
     The coefficient of t^r0 w^n equals level0_total(r0, n).  The paths with
@@ -203,7 +208,7 @@ def expand_level0_gf(order: int = 64, counts: ExactCounts | None = None,
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    cap = limit if t is None else numeric_limit
+    cap = LEVEL0_GF_LIMIT if t is None else LEVEL0_GF_NUMERIC_LIMIT
     if order > cap:
         raise ResourceGuardExceeded(f"level0 gf order {order} exceeds guard {cap}")
     motzkin = list(islice(_motzkin_numbers(), order + 1))  # M_0 .. M_order
@@ -487,11 +492,9 @@ def _coker2_sides(n: int, counts: ExactCounts) -> tuple[Poly, Poly]:
 # smallest, default and largest bound per identity, in the order of
 # IDENTITY_NAMES: the smallest is the first that checks an instance, and
 # each ceiling finishes within about a second of CPU and 45 MB on a 2-vCPU
-# machine.  The ceilings were sized when the island GF sums and Coker's
-# identities multiplied Polys; at them narayana_motzkin, coker1, coker2 and
-# island_gf_forms_agree now take 0.02-0.03, 0.014-0.024, 0.015-0.024 and
-# 0.03-0.06 s of CPU (best of 5 calls, CPython 3.11, a CPU whose speed
-# drifts up to 1.8x)
+# machine.  At them narayana_motzkin, coker1, coker2 and island_gf_forms_agree
+# take 0.02-0.03, 0.014-0.024, 0.015-0.024 and 0.03-0.06 s of CPU (best of 5
+# calls, CPython 3.11, a CPU whose speed drifts up to 1.8x)
 IDENTITY_BOUNDS = {
     "narayana_motzkin": (1, 12, 28),
     "coker1": (1, 12, 60),

@@ -7,9 +7,11 @@ at minimum - 1 it must exit 1 with nothing on stdout and one line on
 stderr.  A row's other flags take their own maxima, and a lambda that is
 not the row's flag takes the three smallest values and the largest, or,
 for a command with no lambda row, the smallest lambda without a row of
-its own.  The library's GF expansions run at their order guards, read
-from their signatures, under the same caps, and one past each guard must
-raise ResourceGuardExceeded.  The checkout's src/ comes first on the path
+its own.  The library's GF expansions run at their order guards, and its
+path and island-diagram generators are drained in full at theirs, under
+the same caps; one past each guard must raise ResourceGuardExceeded.  Each
+guard is read from the library: a module constant, or the island GF's
+``limit`` default.  The checkout's src/ comes first on the path
 of the script and of every child, so it runs from a bare checkout:
 
     python3 tests/guard_sweep.py      # -v prints each run's CPU and peak RSS
@@ -29,7 +31,7 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
-from shapeforge import cli, series  # noqa: E402
+from shapeforge import cli, paths, series, structures  # noqa: E402
 
 CPU_S = 10
 ADDRESS_SPACE = 512 << 20
@@ -51,18 +53,22 @@ TEMPLATES = {
     "compatible": ("compatible --lambda {lambda} --nu {nu} --r0-max {r0-max}",),
 }
 
-# each library GF call at its order guard, as (function, its guard parameter,
-# the keyword arguments of the call)
-GF_CALLS = (
-    ("expand_level0_gf", "limit", {}),
-    ("expand_level0_gf", "numeric_limit", {"t": 2}),
-    ("expand_level0_gf", "numeric_limit", {"t": "Fraction(3, 7)"}),
-    ("expand_level0_gf", "numeric_limit", {"t": 1}),
-    ("expand_motzkin_gf", "MOTZKIN_GF_LIMIT", {}),
-    ("expand_motzkin_gf", "MOTZKIN_GF_LIMIT", {"with_v": False}),
-    ("expand_island_gf", "limit", {"form": "'narayana'"}),
-    ("expand_island_gf", "limit", {"form": "'closed'"}),
-    ("expand_island_gf", "limit", {"form": "'motzkin2'"}),
+# each library call with {} where the size goes, and its guard
+LIBRARY_CALLS = (
+    ("expand_level0_gf({})", series.LEVEL0_GF_LIMIT),
+    ("expand_level0_gf({}, t=2)", series.LEVEL0_GF_NUMERIC_LIMIT),
+    ("expand_level0_gf({}, t=Fraction(3, 7))", series.LEVEL0_GF_NUMERIC_LIMIT),
+    ("expand_level0_gf({}, t=1)", series.LEVEL0_GF_NUMERIC_LIMIT),
+    ("expand_motzkin_gf({})", series.MOTZKIN_GF_LIMIT),
+    ("expand_motzkin_gf({}, with_v=False)", series.MOTZKIN_GF_LIMIT),
+    *((f"expand_island_gf({{}}, form={form!r})",
+       inspect.signature(series.expand_island_gf).parameters["limit"].default)
+      for form in series.ISLAND_GF_FORMS),
+    *((f"sum(1 for _ in enumerate_paths({{}}, PathKind.{kind.name}))", limit)
+      for kind, limit in paths.PATH_LIMITS.items()),
+    # "B" * size is the path with the most decorations of its size
+    ("decorate_islands(parse_path('B' * {}, PathKind.MOTZKIN2))", paths.DECORATE_LIMIT),
+    ("sum(1 for _ in generate_island_diagrams({}))", structures.ISLAND_DIAGRAM_LIMIT),
 )
 
 
@@ -113,25 +119,19 @@ def table_runs() -> list:
     return list(dict.fromkeys((tuple(argv), accepted) for argv, accepted in runs))
 
 
-def gf_runs() -> list:
-    """(python source, accepted) for each GF call at its guard and one past it."""
-    runs = []
-    for function, guard, kwargs in GF_CALLS:
-        if guard.isupper():
-            order = getattr(series, guard)
-        else:
-            order = inspect.signature(getattr(series, function)).parameters[guard].default
-        args = "".join(f", {k}={v}" for k, v in kwargs.items())
-        runs.append((f"{function}({order}{args})", True))
-        runs.append((f"{function}({order + 1}{args})", False))
-    return runs
+def library_runs() -> list:
+    """(python source, accepted) for each library call at its guard and one past it."""
+    return [(call.format(size), size == guard)
+            for call, guard in LIBRARY_CALLS for size in (guard, guard + 1)]
 
 
-_GF_CHILD = """
+_LIBRARY_CHILD = """
 import sys
 from fractions import Fraction
 from shapeforge.errors import ResourceGuardExceeded
+from shapeforge.paths import PathKind, decorate_islands, enumerate_paths, parse_path
 from shapeforge.series import expand_island_gf, expand_level0_gf, expand_motzkin_gf
+from shapeforge.structures import generate_island_diagrams
 try:
     {call}
 except ResourceGuardExceeded as exc:
@@ -163,8 +163,8 @@ def run_capped(argv: list) -> tuple:
 def main(verbose: bool) -> int:
     runs = [([sys.executable, "-m", "shapeforge.cli", *argv], accepted, " ".join(argv))
             for argv, accepted in table_runs()]
-    runs += [([sys.executable, "-c", _GF_CHILD.format(call=call)], accepted, call)
-             for call, accepted in gf_runs()]
+    runs += [([sys.executable, "-c", _LIBRARY_CHILD.format(call=call)], accepted, call)
+             for call, accepted in library_runs()]
     failed = 0
     for argv, accepted, label in runs:
         code, out, err, cpu, rss = run_capped(argv)

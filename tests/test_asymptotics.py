@@ -1,4 +1,7 @@
+import json
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +313,16 @@ def test_convergence_report_pi(counts):
 def test_convergence_report_rejects_unknown_family():
     with pytest.raises(ValueError):
         convergence_report("nonsense", n=10)
+
+
+# asym_count's reports for every pi target (pi_r0 at r0 = 0 and 3) at
+# lam = 1..8 and nu = 40, 200, recorded before asym_count stopped taking a
+# singularity from its caller
+_PI_REPORTS = json.loads((Path(__file__).parent / "asym_pi_reports.json").read_text())
+
+
+@pytest.mark.parametrize("pinned", _PI_REPORTS,
+                         ids=lambda r: "-".join(map(str, [r["target"], *r["params"].values()])))
+def test_pi_reports_match_their_pinned_fields(pinned):
+    report = asym_count(pinned["target"], **pinned["params"])
+    assert asdict(report) == pinned

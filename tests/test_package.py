@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shapeforge
-from shapeforge import asymptotics, cli, errors, series
+from shapeforge import PathKind, asymptotics, cli, errors, paths, series, structures
 
 # the package's public names before its layers were loaded on first use
 PUBLIC_NAMES = [
@@ -98,3 +98,21 @@ def test_the_parser_offers_the_identities_and_targets_of_the_library():
     assert _choices("asymptotics", "target") == asymptotics.ASYM_TARGETS + ("zeta",)
     assert series.IDENTITY_NAMES is errors.IDENTITY_NAMES
     assert asymptotics.ASYM_TARGETS is errors.ASYM_TARGETS
+
+
+# each library keyword that no caller set, now a module constant or gone
+@pytest.mark.parametrize("call", [
+    lambda: asymptotics.asym_count("pi_total", lam=4, nu=40,
+                                   sing=asymptotics.deflate(4, asymptotics.find_zeta(4))),
+    lambda: asymptotics.expected_pi_r0(4, 40, counts=shapeforge.ExactCounts()),
+    lambda: series.expand_level0_gf(10, limit=200),
+    lambda: series.expand_level0_gf(10, t=2, numeric_limit=2000),
+    lambda: paths.enumerate_paths(4, PathKind.MOTZKIN1, limit=16),
+    lambda: paths.decorate_islands(paths.parse_path("R", PathKind.MOTZKIN2), limit=8),
+    lambda: structures.generate_island_diagrams(2, limit=10),
+], ids=["asym_count-sing", "expected_pi_r0-counts", "expand_level0_gf-limit",
+        "expand_level0_gf-numeric_limit", "enumerate_paths-limit", "decorate_islands-limit",
+        "generate_island_diagrams-limit"])
+def test_a_removed_keyword_raises_type_error(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()

@@ -29,6 +29,7 @@ from shapeforge.errors import (
     ResourceGuardExceeded,
     UnbalancedBrackets,
 )
+from shapeforge.paths import DECORATE_LIMIT, PATH_LIMITS
 
 M1 = PathKind.MOTZKIN1
 M2 = PathKind.MOTZKIN2
@@ -74,6 +75,14 @@ def test_enumerate_matches_oracle_sets():
 def test_enumerate_guard():
     with pytest.raises(ResourceGuardExceeded):
         next(enumerate_paths(17, M1))
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_enumerate_accepts_its_limit_and_refuses_one_more(kind):
+    limit = PATH_LIMITS[kind]
+    assert next(enumerate_paths(limit, kind)).size == limit
+    with pytest.raises(ResourceGuardExceeded, match=f"n = {limit + 1} exceeds guard {limit}"):
+        next(enumerate_paths(limit + 1, kind))
 
 
 def test_path_stats_examples():
@@ -276,6 +285,13 @@ def test_decorate_examples():
 def test_decorate_guard():
     with pytest.raises(ResourceGuardExceeded):
         decorate_islands(parse_path("R" * 9, M2))
+
+
+def test_decorate_accepts_its_limit_and_refuses_one_more():
+    # each gap between the hairpins of "R" * n holds a blank or not
+    assert len(decorate_islands(parse_path("R" * DECORATE_LIMIT, M2))) == 2 ** DECORATE_LIMIT
+    with pytest.raises(ResourceGuardExceeded, match=f"exceeds guard {DECORATE_LIMIT}"):
+        decorate_islands(parse_path("R" * (DECORATE_LIMIT + 1), M2))
 
 
 def test_decorations_partition_all_island_diagrams():

@@ -44,6 +44,7 @@ from shapeforge.errors import (
     ResourceGuardExceeded,
     UnbalancedBrackets,
 )
+from shapeforge.structures import ISLAND_DIAGRAM_LIMIT
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -290,6 +291,13 @@ def test_generate_guard():
         next(generate_island_diagrams(11))
     with pytest.raises(ValueError):
         next(generate_island_diagrams(0))
+
+
+def test_generate_accepts_its_limit_and_refuses_one_more():
+    assert next(generate_island_diagrams(ISLAND_DIAGRAM_LIMIT)).stats()[2] == ISLAND_DIAGRAM_LIMIT
+    with pytest.raises(ResourceGuardExceeded,
+                       match=f"ell = {ISLAND_DIAGRAM_LIMIT + 1} exceeds guard {ISLAND_DIAGRAM_LIMIT}"):
+        next(generate_island_diagrams(ISLAND_DIAGRAM_LIMIT + 1))
 
 
 def test_generated_counts_match_island_count(counts):
