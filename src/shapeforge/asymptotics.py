@@ -30,7 +30,7 @@ from itertools import count
 
 from .counting import ExactCounts
 from .errors import ASYM_TARGETS, LargeRemainder, NoRootFound, UnsupportedTarget
-from .series import _pi_counts, singular_polynomial
+from .series import _check_pi_size, _pi_counts, singular_polynomial
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -281,11 +281,12 @@ def _exp(logv: float) -> float:
 
 def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
                nu: int | None = None, r0: int | None = None,
-               counts: ExactCounts | None = None, limit: int = 2000) -> AsymptoticReport:
+               counts: ExactCounts | None = None) -> AsymptoticReport:
     """Pair an exact count with its closed-form leading asymptotic.
 
     The ratio exact/asymptotic is computed through logarithms so that huge
-    exact counts never overflow.
+    exact counts never overflow.  A pi target checks its sizes before it
+    isolates zeta, which refuses a lam above 32 before any counting.
     """
     if target not in ASYM_TARGETS:
         raise UnsupportedTarget(f"unknown target {target!r}; known: {ASYM_TARGETS}")
@@ -312,9 +313,11 @@ def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
     else:
         if lam is None or nu is None or nu < 1:
             raise ValueError(f"{target} needs lam and nu >= 1")
+        if target == "pi_r0" and r0 is None:
+            raise ValueError("pi_r0 needs r0")
+        _check_pi_size(lam, nu)
         sing = deflate(lam, find_zeta(lam))
-        wanted = (r0,) if target == "pi_r0" and r0 is not None else ()
-        total, weighted, rows = _pi_counts(lam, nu, wanted, limit)
+        total, weighted, rows = _pi_counts(lam, nu, (r0,) if target == "pi_r0" else ())
         if target == "pi_total":
             exact = total
             log_asym = _log_asym_pi_total(lam, nu, sing)
@@ -324,8 +327,6 @@ def asym_count(target: str, *, n: int | None = None, lam: int | None = None,
             log_asym = _log_asym_pi_weighted(lam, nu, sing)
             params = {"lam": lam, "nu": nu}
         else:
-            if r0 is None:
-                raise ValueError("pi_r0 needs r0")
             exact = rows[r0]
             log_asym = _log_asym_pi_r0(lam, nu, r0, sing)
             params = {"lam": lam, "nu": nu, "r0": r0}
@@ -348,12 +349,14 @@ def expected_level0(n: int, counts: ExactCounts | None = None) -> Fraction:
 def expected_pi_r0(lam: int, nu: int) -> Fraction:
     """Exact expected r0 over compatible pi shapes of backbone length nu."""
     total, weighted, _ = _pi_counts(lam, nu)
+    if total == 0:
+        raise ValueError(f"no compatible shapes up to nu = {nu}")
     return Fraction(weighted, total)
 
 
 def convergence_report(family: str, *, n: int | None = None, lam: int | None = None,
                        nu: int | None = None, r0_max: int = 8,
-                       counts: ExactCounts | None = None, limit: int = 2000) -> list:
+                       counts: ExactCounts | None = None) -> list:
     """Rows (r0, exact frequency, asymptotic value, absolute deviation).
 
     family "level0" compares M(r0; n)/M_n with its limit; family "pi"
@@ -373,7 +376,7 @@ def convergence_report(family: str, *, n: int | None = None, lam: int | None = N
     elif family == "pi":
         if lam is None or nu is None:
             raise ValueError("pi family needs lam and nu")
-        total, _, by_r0 = _pi_counts(lam, nu, range(r0_max + 1), limit)
+        total, _, by_r0 = _pi_counts(lam, nu, range(r0_max + 1))
         if total == 0:
             raise ValueError(f"no compatible shapes up to nu = {nu}")
         sing = find_zeta(lam)

@@ -16,10 +16,7 @@ Domain errors, and running out of memory, recursion depth or float range,
 exit with status 1 and a one-line diagnostic; usage errors exit with status
 2; a stdout closed early by its reader exits with status 141 (128 + SIGPIPE)
 and prints nothing on stderr.  Integers print in full at any length.
-
-The environment variable SHAPEFORGE_MAX_N raises the enumeration and
-expansion guards.  This is unsafe: the guards exist to keep memory and
-runtime bounded.
+Every size flag is refused outside its bounds before any work is done.
 """
 
 from __future__ import annotations
@@ -118,8 +115,7 @@ def _read_text(args) -> str:
 # (command, flag) -> (minimum, maximum) of --flag.  A flag takes the row of
 # the longest prefix of its command that has one, so ("asymptotics", "n")
 # bounds every target that reads --n.  _check_size refuses a size outside
-# its row before any work; a nu row is the library's limit instead, and the
-# library refuses nu.  SHAPEFORGE_MAX_N raises every maximum.  A comment
+# its row before any work; no nu maximum exceeds series.PI_NU_LIMIT.  A comment
 # gives the child CPU and peak RSS at the maximum, in the costliest format
 # and other flags (CPython 3.11, 2 vCPUs, a speed that drifts up to 1.8x);
 # tests/guard_sweep.py runs each row at its maximum and one past each end.
@@ -156,13 +152,6 @@ _COUNT_FLAGS = {command.split()[1]: flag for command, flag in SIZE_BOUNDS
                 if command.startswith("count ")}
 
 
-def _guard(default: int) -> int:
-    env = os.environ.get("SHAPEFORGE_MAX_N")
-    if env:
-        return max(default, int(env))
-    return default
-
-
 def _bounds(command: str, flag: str) -> tuple[int, int]:
     """The minimum and the guard of --flag in command: a verify identity's
     row of series.IDENTITY_BOUNDS, else the SIZE_BOUNDS row of the longest
@@ -170,11 +159,10 @@ def _bounds(command: str, flag: str) -> tuple[int, int]:
     words = command.split()
     if words[0] == "verify":
         minimum, _, maximum = series.IDENTITY_BOUNDS[words[1]]
-    else:
-        while (" ".join(words), flag) not in SIZE_BOUNDS:
-            words.pop()
-        minimum, maximum = SIZE_BOUNDS[" ".join(words), flag]
-    return minimum, _guard(maximum)
+        return minimum, maximum
+    while (" ".join(words), flag) not in SIZE_BOUNDS:
+        words.pop()
+    return SIZE_BOUNDS[" ".join(words), flag]
 
 
 def _check_size(command: str, flag: str, size: int) -> None:
@@ -313,10 +301,9 @@ def _cmd_distribution(args) -> Doc:
     else:
         _require(args.lam is not None and args.nu is not None,
                  "pi distribution needs --lambda and --nu")
-        _check_size("distribution pi", "r0-max", args.r0_max)
-        _check_size("distribution pi", "lambda", args.lam)
-        rows = asymptotics.convergence_report("pi", lam=args.lam, nu=args.nu, r0_max=args.r0_max,
-                                              limit=_bounds("distribution pi", "nu")[1])
+        for flag, size in (("r0-max", args.r0_max), ("lambda", args.lam), ("nu", args.nu)):
+            _check_size("distribution pi", flag, size)
+        rows = asymptotics.convergence_report("pi", lam=args.lam, nu=args.nu, r0_max=args.r0_max)
         fields = {"family": "pi", "lambda": args.lam, "nu": args.nu}
     return Doc(fields, ("r0", "exact", "asymptotic", "deviation"), rows)
 
@@ -331,16 +318,13 @@ def _cmd_asymptotics(args) -> Doc:
         "pi_r0": ("lam", "nu", "r0"),
         "pi_weighted_sum": ("lam", "nu"),
     }[args.target]
-    for field in needs:
-        flag = "--lambda" if field == "lam" else f"--{field}"
-        _require(getattr(args, field) is not None, f"{args.target} needs {flag}")
-    command = f"asymptotics {args.target}"
-    if "n" in needs:
-        _check_size(command, "n", args.n)
-    if args.target == "pi_r0":
-        _check_size(command, "r0", args.r0)
-    if "lam" in needs:
-        _check_size(command, "lambda", args.lam)
+    flags = {field: "lambda" if field == "lam" else field for field in needs}
+    for field, flag in flags.items():
+        _require(getattr(args, field) is not None, f"{args.target} needs --{flag}")
+    for field, flag in flags.items():
+        # level0_total's --r0 lies in 0..n, which the library checks
+        if (args.target, field) != ("level0_total", "r0"):
+            _check_size(f"asymptotics {args.target}", flag, getattr(args, field))
     if args.target == "zeta":
         sing = asymptotics.deflate(args.lam, asymptotics.find_zeta(args.lam))
         return Doc({
@@ -351,14 +335,7 @@ def _cmd_asymptotics(args) -> Doc:
             "distribution_base": asymptotics.asym_pi(args.lam, 0, sing),
             "expected_r0": asymptotics.asym_pi_expected(args.lam, sing),
         })
-    report = asymptotics.asym_count(
-        args.target,
-        n=args.n,
-        lam=args.lam,
-        nu=args.nu,
-        r0=args.r0,
-        limit=_bounds(command, "nu")[1],
-    )
+    report = asymptotics.asym_count(args.target, n=args.n, lam=args.lam, nu=args.nu, r0=args.r0)
     asymptotic = report.asymptotic
     # overflowed, or underflowed to 0 or a subnormal: print from the logarithm
     if not sys.float_info.min <= asymptotic < math.inf and math.isfinite(report.log_asymptotic):
@@ -375,8 +352,8 @@ def _cmd_asymptotics(args) -> Doc:
 def _cmd_compatible(args) -> Doc:
     if args.r0_max is not None:
         _check_size("compatible", "r0-max", args.r0_max)
-    limit = _bounds(f"compatible --lambda {args.lam}", "nu")[1]
-    table = series.compatible_counts(args.lam, args.nu, limit=limit)
+    _check_size(f"compatible --lambda {args.lam}", "nu", args.nu)
+    table = series.compatible_counts(args.lam, args.nu)
     r0_max = args.r0_max if args.r0_max is not None else table.r0_max
     rows = [(r0, table.count(r0, args.nu)) for r0 in range(r0_max + 1)]
     fields = {"lambda": args.lam, "nu": args.nu, "total": table.total(args.nu)}

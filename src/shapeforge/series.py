@@ -116,11 +116,12 @@ def _binomial_sum(variables: tuple, triples) -> Poly:
 
 
 ISLAND_GF_FORMS = ("narayana", "closed", "motzkin2")
+# the largest island GF order, verify narayana_motzkin's: 0.1 s of CPU and 17 MB, closed form
+ISLAND_GF_LIMIT = 28
 
 
 def expand_island_gf(order: int = 24, form: str = "closed",
-                     counts: ExactCounts | None = None,
-                     limit: int = 24) -> TruncatedSeries:
+                     counts: ExactCounts | None = None) -> TruncatedSeries:
     """Expand the island-diagram generating function in z to the given order.
 
     Coefficients are polynomials in x (hairpins) and y (islands); the
@@ -136,8 +137,8 @@ def expand_island_gf(order: int = 24, form: str = "closed",
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > limit:
-        raise ResourceGuardExceeded(f"island gf order {order} exceeds guard {limit}")
+    if order > ISLAND_GF_LIMIT:
+        raise ResourceGuardExceeded(f"island gf order {order} exceeds guard {ISLAND_GF_LIMIT}")
     if form not in ISLAND_GF_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {ISLAND_GF_FORMS}")
     counts = counts or ExactCounts()
@@ -304,7 +305,20 @@ def singular_polynomial(lam: int) -> list:
     return coeffs
 
 
-def _pi_counts(lam: int, nu: int, r0s=(), limit: int = 2000) -> tuple[int, int, dict]:
+# the largest pi nu: every row of _pi_counts in 0.2 s of CPU, compatible_counts(8, nu) 2.8 s
+PI_NU_LIMIT = 2000
+
+
+def _check_pi_size(lam: int, nu: int) -> None:
+    if lam < 1:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if nu < 0:
+        raise ValueError("nu_max must be nonnegative")
+    if nu > PI_NU_LIMIT:
+        raise ResourceGuardExceeded(f"nu_max = {nu} exceeds guard {PI_NU_LIMIT}")
+
+
+def _pi_counts(lam: int, nu: int, r0s=()) -> tuple[int, int, dict]:
     """The cumulative total, weighted sum and rows r0 in ``r0s`` at nu of
     compatible_counts(lam, nu), without the table.
 
@@ -330,12 +344,7 @@ def _pi_counts(lam: int, nu: int, r0s=(), limit: int = 2000) -> tuple[int, int, 
 
     Every division is exact; a remainder raises DivisibilityFailure.
     """
-    if lam < 1:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if nu < 0:
-        raise ValueError("nu_max must be nonnegative")
-    if nu > limit:
-        raise ResourceGuardExceeded(f"nu_max = {nu} exceeds guard {limit}")
+    _check_pi_size(lam, nu)
     rows = dict.fromkeys(r0s, 0)
     if rows and min(rows) < 0:
         raise IndexError("r0 must be nonnegative")
@@ -377,8 +386,8 @@ def _pi_counts(lam: int, nu: int, r0s=(), limit: int = 2000) -> tuple[int, int, 
     return total, weighted, rows
 
 
-def compatible_counts(lam: int, nu_max: int, counts: ExactCounts | None = None,
-                      limit: int = 2000) -> CompatibleTable:
+def compatible_counts(lam: int, nu_max: int,
+                      counts: ExactCounts | None = None) -> CompatibleTable:
     """Tabulate compatible pi-shape counts by component number.
 
     A Motzkin path of size n with u up steps stands for a pi shape with
@@ -388,12 +397,7 @@ def compatible_counts(lam: int, nu_max: int, counts: ExactCounts | None = None,
     (n, u, r0) class and cumulating over length realises the table without
     any Laurent-series substitution.
     """
-    if lam < 1:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if nu_max < 0:
-        raise ValueError("nu_max must be nonnegative")
-    if nu_max > limit:
-        raise ResourceGuardExceeded(f"nu_max = {nu_max} exceeds guard {limit}")
+    _check_pi_size(lam, nu_max)
     counts = counts or ExactCounts()
     rows: dict[int, dict[int, int]] = {}
 
@@ -526,8 +530,8 @@ def verify_identity(name: str, bound: int | None = None,
     if name == "narayana_motzkin":
         # the Narayana sum and the 2-Motzkin step-weight sum of the island
         # GF, compared coefficient by coefficient
-        lhs = expand_island_gf(bound, "narayana", counts, limit=bound)
-        rhs = expand_island_gf(bound, "motzkin2", counts, limit=bound)
+        lhs = expand_island_gf(bound, "narayana", counts)
+        rhs = expand_island_gf(bound, "motzkin2", counts)
         for ell in range(1, bound + 1):
             instances.append((f"ell={ell}", lhs.coefficient(ell) == rhs.coefficient(ell)))
         rng = f"ell = 1..{bound}"

@@ -9,17 +9,16 @@ not the row's flag takes the three smallest values and the largest, or,
 for a command with no lambda row, the smallest lambda without a row of
 its own.  The library's GF expansions run at their order guards, and its
 path and island-diagram generators are drained in full at theirs, under
-the same caps; one past each guard must raise ResourceGuardExceeded.  Each
-guard is read from the library: a module constant, or the island GF's
-``limit`` default.  The checkout's src/ comes first on the path
-of the script and of every child, so it runs from a bare checkout:
+the same caps, as is the pi nu guard; one past each guard must raise
+ResourceGuardExceeded.  Each guard is read from the library's module
+constants.  The checkout's src/ comes first on the path of the script and
+of every child, so it runs from a bare checkout:
 
     python3 tests/guard_sweep.py      # -v prints each run's CPU and peak RSS
 
 Exits 1, after every run, if any run did not do what it must.
 """
 
-import inspect
 import os
 import resource
 import subprocess
@@ -61,9 +60,9 @@ LIBRARY_CALLS = (
     ("expand_level0_gf({}, t=1)", series.LEVEL0_GF_NUMERIC_LIMIT),
     ("expand_motzkin_gf({})", series.MOTZKIN_GF_LIMIT),
     ("expand_motzkin_gf({}, with_v=False)", series.MOTZKIN_GF_LIMIT),
-    *((f"expand_island_gf({{}}, form={form!r})",
-       inspect.signature(series.expand_island_gf).parameters["limit"].default)
+    *((f"expand_island_gf({{}}, form={form!r})", series.ISLAND_GF_LIMIT)
       for form in series.ISLAND_GF_FORMS),
+    ("expected_pi_r0(1, {})", series.PI_NU_LIMIT),
     *((f"sum(1 for _ in enumerate_paths({{}}, PathKind.{kind.name}))", limit)
       for kind, limit in paths.PATH_LIMITS.items()),
     # "B" * size is the path with the most decorations of its size
@@ -128,6 +127,7 @@ def library_runs() -> list:
 _LIBRARY_CHILD = """
 import sys
 from fractions import Fraction
+from shapeforge.asymptotics import expected_pi_r0
 from shapeforge.errors import ResourceGuardExceeded
 from shapeforge.paths import PathKind, decorate_islands, enumerate_paths, parse_path
 from shapeforge.series import expand_island_gf, expand_level0_gf, expand_motzkin_gf
@@ -148,7 +148,6 @@ def run_capped(argv: list) -> tuple:
     """Run argv in a capped child: (exit status, stdout, stderr, CPU s, peak RSS MB).
     The peak is at least the RSS of this process, which the child starts from."""
     env = dict(os.environ)
-    env.pop("SHAPEFORGE_MAX_N", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env, preexec_fn=_caps)

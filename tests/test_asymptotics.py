@@ -15,10 +15,12 @@ from shapeforge import (
     convergence_report,
     deflate,
     expected_level0,
+    expected_pi_r0,
     find_zeta,
     singular_polynomial,
 )
-from shapeforge.errors import UnsupportedTarget
+from shapeforge.errors import ResourceGuardExceeded, UnsupportedTarget
+from shapeforge.series import PI_NU_LIMIT
 
 # ---------------------------------------------------------------------------
 # root isolation
@@ -282,6 +284,19 @@ def test_asym_count_rejects_unknown_target():
         asym_count("zeta_only")
 
 
+def test_pi_targets_check_their_sizes_before_isolating_zeta(monkeypatch):
+    def fail(lam):
+        raise AssertionError("find_zeta was called")
+
+    monkeypatch.setattr(asymptotics, "find_zeta", fail)
+    with pytest.raises(ValueError, match="pi_r0 needs r0"):
+        asym_count("pi_r0", lam=4, nu=60)
+    guard = f"nu_max = {PI_NU_LIMIT + 1} exceeds guard {PI_NU_LIMIT}"
+    for target in ("pi_total", "pi_r0", "pi_weighted_sum"):
+        with pytest.raises(ResourceGuardExceeded, match=guard):
+            asym_count(target, lam=4, nu=PI_NU_LIMIT + 1, r0=0)
+
+
 # ---------------------------------------------------------------------------
 # convergence data
 
@@ -308,6 +323,13 @@ def test_convergence_report_degenerate():
 def test_convergence_report_pi(counts):
     rows = convergence_report("pi", lam=4, nu=80, r0_max=5, counts=counts)
     assert max(r[3] for r in rows) < 0.05
+
+
+@pytest.mark.parametrize("nu", [0, 3])
+def test_expected_pi_r0_with_no_compatible_shape_raises_value_error(nu):
+    # the smallest pi shape at lam = 4 has a backbone of length 5
+    with pytest.raises(ValueError, match=f"no compatible shapes up to nu = {nu}"):
+        expected_pi_r0(4, nu)
 
 
 def test_convergence_report_rejects_unknown_family():

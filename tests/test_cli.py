@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import guard_sweep
-from shapeforge import cli
+from shapeforge import cli, series
 from shapeforge.asymptotics import asym_count
 from shapeforge.cli import main
 from shapeforge.series import IDENTITY_BOUNDS
@@ -192,17 +192,6 @@ def test_compatible_counts_command(capsys):
     assert len(lines) == 4
 
 
-def test_guard_env_override(monkeypatch, capsys):
-    code, _, err = run(capsys, "compatible", "--lambda", "4", "--nu", "2001")
-    assert code == 1
-    assert "ResourceGuardExceeded" in err
-    monkeypatch.setenv("SHAPEFORGE_MAX_N", "5000")
-    from shapeforge.cli import _guard
-    assert _guard(2000) == 5000
-    monkeypatch.setenv("SHAPEFORGE_MAX_N", "10")
-    assert _guard(2000) == 2000  # never lowers a guard
-
-
 def test_count_refuses_sizes_above_its_guard(capsys):
     code, out, err = run(capsys, "count", "motzkin", "--n", "20001")
     assert (code, out) == (1, "")
@@ -335,8 +324,7 @@ _LEVEL0 = ("distribution", "level0", "--n", "20", "--format", "csv")
     pytest.param(_COMPATIBLE, "2001", "ResourceGuardExceeded", id="compatible-above-guard"),
     pytest.param(_PI, "2001", "ResourceGuardExceeded", id="pi-above-guard"),
 ])
-def test_r0_max_is_refused_outside_zero_to_its_guard(capsys, monkeypatch, argv, r0_max, error):
-    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+def test_r0_max_is_refused_outside_zero_to_its_guard(capsys, argv, r0_max, error):
     code, out, err = run(capsys, *argv, "--r0-max", r0_max)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {error}") and "--r0-max" in err
@@ -367,8 +355,7 @@ def test_every_subcommand_prints_its_pinned_output(capsys, argv, stdout):
 
 
 @pytest.mark.parametrize("r0, error", [("-1", "ValueError"), ("2001", "ResourceGuardExceeded")])
-def test_asymptotics_pi_r0_fails_cleanly_on_a_large_or_negative_r0(capsys, monkeypatch, r0, error):
-    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+def test_asymptotics_pi_r0_fails_cleanly_on_a_large_or_negative_r0(capsys, r0, error):
     code, out, err = run(capsys, "asymptotics", "--target", "pi_r0",
                          "--lambda", "4", "--nu", "60", "--r0", r0)
     assert (code, out) == (1, "")
@@ -382,8 +369,7 @@ _PI_R0_FIRST_OUT_OF_RANGE = {1: 722, 4: 618, 32: 530}
 
 @pytest.mark.parametrize("lam", [1, 4, 32])
 @pytest.mark.parametrize("r0", ["first", 1021, 1500, 2000])
-def test_asymptotics_pi_r0_past_the_float_range(capsys, monkeypatch, lam, r0):
-    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+def test_asymptotics_pi_r0_past_the_float_range(capsys, lam, r0):
     r0 = _PI_R0_FIRST_OUT_OF_RANGE[lam] if r0 == "first" else r0
     code, out, err = run(capsys, "asymptotics", "--target", "pi_r0",
                          "--lambda", str(lam), "--nu", "60", "--r0", str(r0))
@@ -398,8 +384,7 @@ _PI_R0_FIRST_UNDERFLOW = {1: 1070, 4: 785, 32: 612}
 
 @pytest.mark.parametrize("lam", [1, 4, 32])
 @pytest.mark.parametrize("r0", ["first", 2000])
-def test_an_underflowing_asymptotic_prints_mantissa_and_exponent(capsys, monkeypatch, lam, r0):
-    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+def test_an_underflowing_asymptotic_prints_mantissa_and_exponent(capsys, lam, r0):
     r0 = _PI_R0_FIRST_UNDERFLOW[lam] if r0 == "first" else r0
     report = asym_count("pi_r0", lam=lam, nu=60, r0=r0)
     assert report.asymptotic < sys.float_info.min and math.isfinite(report.log_asymptotic)
@@ -480,7 +465,6 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def _peak_rss_mb(argv, cpu_s: int = 0, address_space: int = 0) -> float:
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    env.pop("SHAPEFORGE_MAX_N", None)
     out = subprocess.run([sys.executable, "-c", _SPAWN, str(cpu_s), str(address_space), *argv],
                          env=env, check=True, capture_output=True, text=True).stdout
     code, kilobytes = map(int, out.split())
@@ -521,29 +505,29 @@ def test_json_rows_in_several_blocks_are_one_document(capsys):
 
 @pytest.mark.parametrize("command, flag", list(cli.SIZE_BOUNDS),
                          ids=[f"{command} --{flag}" for command, flag in cli.SIZE_BOUNDS])
-def test_every_size_bound_refuses_one_past_each_end(capsys, monkeypatch, command, flag):
-    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
+def test_every_size_bound_refuses_one_past_each_end(capsys, command, flag):
     minimum, maximum = cli.SIZE_BOUNDS[command, flag]
-    # the library refuses nu itself, as nu_max (or nu >= 1 for a pi target)
-    names = ("nu_max", "nu >=") if flag == "nu" else (f"--{flag} ",)
     for size in (maximum + 1, minimum - 1):
         for argv in guard_sweep.row_argvs(command, flag, size):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, ""), argv
-            assert err.count("\n") == 1 and any(name in err for name in names), (argv, err)
+            assert err.count("\n") == 1 and f"--{flag} " in err, (argv, err)
+
+
+def test_no_nu_bound_exceeds_the_library_guard():
+    assert all(maximum <= series.PI_NU_LIMIT
+               for (_, flag), (_, maximum) in cli.SIZE_BOUNDS.items() if flag == "nu")
 
 
 @pytest.mark.parametrize("lam", range(1, 8))
-def test_compatible_refuses_nu_past_the_ceiling_of_its_lambda(capsys, monkeypatch, lam):
+def test_compatible_refuses_nu_past_the_ceiling_of_its_lambda(capsys, lam):
     # below lambda 8 the compatible_counts loop cannot finish nu = 2000 in
     # about 5 s, so each of these lambda has a lower ceiling of its own
-    monkeypatch.delenv("SHAPEFORGE_MAX_N", raising=False)
     _, ceiling = cli.SIZE_BOUNDS[f"compatible --lambda {lam}", "nu"]
     code, out, err = run(capsys, "compatible", "--lambda", str(lam), "--nu", str(ceiling + 1))
     assert (code, out) == (1, "")
-    assert err == f"error: ResourceGuardExceeded: nu_max = {ceiling + 1} exceeds guard {ceiling}\n"
-    monkeypatch.setenv("SHAPEFORGE_MAX_N", str(ceiling + 1))
-    assert cli._bounds(f"compatible --lambda {lam}", "nu") == (0, ceiling + 1)
+    assert err == (f"error: ResourceGuardExceeded: compatible --lambda {lam}: "
+                   f"--nu {ceiling + 1} exceeds guard {ceiling}\n")
 
 
 def test_compatible_accepts_the_largest_table_the_benchmark_asks_for(capsys):

@@ -100,7 +100,8 @@ def test_the_parser_offers_the_identities_and_targets_of_the_library():
     assert asymptotics.ASYM_TARGETS is errors.ASYM_TARGETS
 
 
-# each library keyword that no caller set, now a module constant or gone
+# each library keyword that no caller set, or that only the CLI set, now a module
+# constant or gone
 @pytest.mark.parametrize("call", [
     lambda: asymptotics.asym_count("pi_total", lam=4, nu=40,
                                    sing=asymptotics.deflate(4, asymptotics.find_zeta(4))),
@@ -110,9 +111,14 @@ def test_the_parser_offers_the_identities_and_targets_of_the_library():
     lambda: paths.enumerate_paths(4, PathKind.MOTZKIN1, limit=16),
     lambda: paths.decorate_islands(paths.parse_path("R", PathKind.MOTZKIN2), limit=8),
     lambda: structures.generate_island_diagrams(2, limit=10),
+    lambda: series.compatible_counts(4, 40, limit=2000),
+    lambda: asymptotics.asym_count("pi_total", lam=4, nu=40, limit=2000),
+    lambda: asymptotics.convergence_report("pi", lam=4, nu=40, limit=2000),
+    lambda: series.expand_island_gf(10, limit=28),
 ], ids=["asym_count-sing", "expected_pi_r0-counts", "expand_level0_gf-limit",
         "expand_level0_gf-numeric_limit", "enumerate_paths-limit", "decorate_islands-limit",
-        "generate_island_diagrams-limit"])
+        "generate_island_diagrams-limit", "compatible_counts-limit", "asym_count-limit",
+        "convergence_report-limit", "expand_island_gf-limit"])
 def test_a_removed_keyword_raises_type_error(call):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
